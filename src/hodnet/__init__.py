@@ -51,9 +51,7 @@ from .quality import (
 from .cyclotomic import Cyclotomic
 from .bernoulli import bernoulli, bernoulli_coeffs
 from .walsh import (
-    WalshCoeffTable,
     bernoulli_walsh_coeff,
-    build_coeff_table,
     count_type_pairs,
     decay_ratio_sup,
     kernel_walsh_coeff,
@@ -67,10 +65,7 @@ from .walsh import (
 from .kernel import (
     KernelSpec,
     kernel_1d,
-    kernel_1d_exact,
-    qmc_integrate,
     wce,
-    wce_dual_truncated,
     wce_squared_exact,
 )
 

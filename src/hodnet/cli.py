@@ -5,7 +5,11 @@ Subcommands: gen, verify, dual, wce, walsh, converge.  Exit codes: 0 on
 success, 2 on usage errors, 3 on resource-limit errors, 4 on numerical
 consistency failures.  Every CSV starts with '#' comment lines echoing the
 full configuration and the artifact version, and reruns with an identical
-configuration produce byte-identical output.
+configuration produce byte-identical output; the one exception is the
+``elapsed_ms`` field of the verify report.
+
+``wce`` is a one-row ``converge``: it runs the same experiment at m_min =
+m_max = m and prints the columns b,s,alpha,order_d,m,N,e,log_b_e.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import __version__
 from .errors import NumericalConsistencyError, ResourceLimitError, UsageError
@@ -128,18 +130,6 @@ def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     return rows
 
 
-def fit_slope(rows: list[ConvergenceRow], m_lo: int, m_hi: int) -> float:
-    """Least-squares slope of log_b(e) against m over the window."""
-    window = [r for r in rows if m_lo <= r.m <= m_hi]
-    if len(window) < 3:
-        raise UsageError("slope fit needs at least 3 rows in the window")
-    if any(r.e <= 0 for r in window):
-        raise UsageError("slope fit is degenerate: zero error in the window")
-    ms = np.array([r.m for r in window], dtype=float)
-    ys = np.array([r.log_b_e for r in window], dtype=float)
-    return float(np.polyfit(ms, ys, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -218,24 +208,22 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_wce(args) -> int:
-    t0 = time.perf_counter()
-    order = args.order if args.order is not None else 2 * args.alpha + 1
-    ms = build_matrices(args.base, args.dims, args.m, order=order)
-    spec = KernelSpec(args.alpha, args.dims)
-    n = args.base**args.m
-    if n * n * args.dims > args.work_limit:
-        raise ResourceLimitError(
-            f"kernel double sum needs {n * n * args.dims} evaluations, "
-            f"limit is {args.work_limit}"
-        )
-    e = wce(spec, net_values(ms, args.m), threads=args.threads)
-    log_e = math.log(e, args.base) if e > 0 else float("-inf")
-    elapsed = round(1000 * (time.perf_counter() - t0), 3)
+    cfg = ExperimentConfig(
+        base=args.base,
+        alpha=args.alpha,
+        order=args.order,
+        dims=args.dims,
+        m_min=args.m,
+        m_max=args.m,
+        work_limit=args.work_limit,
+        threads=args.threads,
+    )
+    (row,) = run_convergence(cfg)
     lines = [
         f"# hodnet wce v{__version__}",
-        "b,s,alpha,order_d,m,N,e,log_b_e,elapsed_ms",
-        f"{args.base},{args.dims},{args.alpha},{order},{args.m},{n},"
-        f"{e!r},{log_e!r},{elapsed}",
+        "b,s,alpha,order_d,m,N,e,log_b_e",
+        f"{cfg.base},{cfg.dims},{cfg.alpha},{cfg.effective_order},{row.m},"
+        f"{row.n_points},{row.e!r},{row.log_b_e!r}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -169,10 +169,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def value_at_base(self) -> int:
-        """The coefficient vector read as a base-b integer; used for ordering."""
-        return int_from_digits(self.coeffs, self.base)
-
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
         n = max(len(self.coeffs), len(other.coeffs))

@@ -11,10 +11,12 @@ Bernoulli terms have zero mean), so the squared worst-case error of an
 equal-weight rule on points P is the kernel double sum over P divided by
 N**2, minus 1.
 
-Two evaluation routes: a vectorized binary64 path with deterministic
-blockwise compensated summation (production), and an exact-rational path
-for small point sets (roundoff oracle).  A third, independent route sums
-exact Walsh coefficients of the kernel over the truncated dual net.
+``kernel_1d`` is the one scalar definition of K_alpha: exact on Fractions
+and binary64 on floats.  ``wce`` evaluates it in vectorized binary64 with
+deterministic blockwise compensated summation (production), and
+``wce_squared_exact`` sums it exactly over small point sets (roundoff
+oracle).  An independent route sums exact Walsh coefficients of the kernel
+over the truncated dual net.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bernoulli import bernoulli, bernoulli_coeffs, bernoulli_float_coeffs
+from .bernoulli import bernoulli, bernoulli_float_coeffs
 from .cyclotomic import Cyclotomic
 from .errors import NumericalConsistencyError, ResourceLimitError, UsageError
 from .matrices import GeneratingMatrixSet
@@ -35,8 +37,7 @@ from .quality import DEFAULT_WORK_LIMIT, dual_indices
 from .walsh import (
     _bernoulli_cell_integrals,
     _char_exponents,
-    _anti1,
-    _anti2,
+    _periodic_offset_integrals,
     kernel_walsh_coeff_vec,
 )
 
@@ -58,35 +59,13 @@ class KernelSpec:
             raise UsageError("alpha and dims must be positive")
 
 
-def kernel_1d(alpha: int, x: float, y: float) -> float:
-    """One-dimensional kernel value in binary64."""
-    acc = 0.0
+def kernel_1d(alpha: int, x, y):
+    """One-dimensional kernel value: exact for Fraction input, float for float."""
+    acc = 0
     for r in range(alpha + 1):
         acc += bernoulli(r, x) * bernoulli(r, y) / math.factorial(r) ** 2
     per = bernoulli(2 * alpha, abs(x - y)) / math.factorial(2 * alpha)
     return acc + per if alpha % 2 else acc - per
-
-
-def kernel_1d_exact(alpha: int, x: Fraction, y: Fraction) -> Fraction:
-    """One-dimensional kernel value as an exact rational."""
-    x, y = Fraction(x), Fraction(y)
-    acc = Fraction(0)
-    for r in range(alpha + 1):
-        acc += (
-            bernoulli(r, x) * bernoulli(r, y) / Fraction(math.factorial(r) ** 2)
-        )
-    per = bernoulli(2 * alpha, abs(x - y)) / math.factorial(2 * alpha)
-    return acc + per if alpha % 2 else acc - per
-
-
-def kernel_product(spec: KernelSpec, xs, ys) -> float:
-    """Tensor-product kernel at two points given as coordinate sequences."""
-    if len(xs) != spec.dims or len(ys) != spec.dims:
-        raise UsageError("point dimension does not match the kernel spec")
-    out = 1.0
-    for x, y in zip(xs, ys):
-        out *= kernel_1d(spec.alpha, float(x), float(y))
-    return out
 
 
 def _coords_array(points) -> np.ndarray:
@@ -187,64 +166,14 @@ def wce_squared_exact(spec: KernelSpec, points) -> Fraction:
         for c in coords:
             term = Fraction(1)
             for j in range(spec.dims):
-                term *= kernel_1d_exact(spec.alpha, a[j], c[j])
+                term *= kernel_1d(spec.alpha, a[j], c[j])
             total += term
     return total / n**2 - 1
-
-
-def qmc_integrate(f, points) -> float:
-    """Equal-weight quadrature of ``f`` over the points (sanity harness)."""
-    values = [f(*pt.values()) if isinstance(pt, DigitPoint) else f(*pt) for pt in points]
-    return math.fsum(values) / len(values)
 
 
 # ---------------------------------------------------------------------------
 # Dual-space route
 # ---------------------------------------------------------------------------
-
-
-def _periodic_offset_integrals(base: int, r: int, g: int) -> list[Fraction]:
-    """Integrals of the even periodic Bernoulli difference over cell pairs.
-
-    Entry u is the integral of Bper_r(x - y) over any cell pair whose offset
-    is congruent to u modulo b**g; translation invariance modulo one period
-    makes the offset class the only parameter.
-    """
-    if r < 2 or r % 2:
-        raise UsageError("offset integrals require even degree >= 2")
-    n = base**g
-    h = Fraction(1, n)
-    f2 = [_anti2(r, u * h) for u in range(n + 1)]
-    out = [Fraction(0)] * n
-    # Offset 0 splits along the diagonal; the wrapped branch contributes the
-    # mirrored triangle of B_r evaluated one period up.
-    out[0] = (
-        f2[1]
-        - f2[0]
-        - _anti1(r, Fraction(0)) * h
-        + _anti1(r, Fraction(1)) * h
-        - f2[n]
-        + f2[n - 1]
-    )
-    for u in range(1, n):
-        out[u] = f2[u + 1] - 2 * f2[u] + f2[u - 1]
-    return out
-
-
-def wce_dual_truncated(
-    spec: KernelSpec,
-    ms: GeneratingMatrixSet,
-    m: int,
-    mu1_cutoff: int,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-) -> float:
-    """Truncation of the dual-space worst-case-error identity, as a float."""
-    value = dual_walsh_sum_exact(spec, ms, m, mu1_cutoff, work_limit)
-    if not value.is_real():
-        raise NumericalConsistencyError(
-            "imaginary parts of the truncated dual sum failed to cancel"
-        )
-    return value.to_complex().real
 
 
 def dual_walsh_sum_exact(

@@ -25,7 +25,9 @@ class DigitPoint:
     """A point of [0,1)^s stored as exact digit vectors.
 
     ``digits[j]`` holds the digits of coordinate j+1, most significant first,
-    so coordinate value = sum(digits[j][i] * base**-(i+1)).
+    so coordinate value = sum(digits[j][i] * base**-(i+1)).  Coordinates
+    given with fewer digits are zero-padded to the longest precision, which
+    leaves their values unchanged.
     """
 
     base: int
@@ -34,12 +36,15 @@ class DigitPoint:
     def __post_init__(self) -> None:
         if not self.digits:
             raise UsageError("a point needs at least one coordinate")
-        prec = len(self.digits[0])
+        prec = max(len(coord) for coord in self.digits)
         for coord in self.digits:
-            if len(coord) != prec:
-                raise UsageError("all coordinates must share one precision")
             if any(not 0 <= d < self.base for d in coord):
                 raise UsageError(f"digits must lie in [0, {self.base})")
+        if any(len(coord) != prec for coord in self.digits):
+            padded = tuple(
+                tuple(coord) + (0,) * (prec - len(coord)) for coord in self.digits
+            )
+            object.__setattr__(self, "digits", padded)
 
     @property
     def dims(self) -> int:
@@ -166,20 +171,16 @@ def interlace_point(point: DigitPoint, factor: int) -> DigitPoint:
 
 
 def format_points_csv(ms: GeneratingMatrixSet, m: int) -> str:
-    """CSV text for the first b**m points: one point per line, fixed decimals."""
-    arr = net_digits(ms, m)
-    prec = ms.rows
-    decimals = math.ceil(prec * math.log10(ms.base)) + 2
-    den = ms.base**prec
+    """CSV text for the first b**m points: one point per line, fixed decimals.
+
+    Prints the binary64 values of ``net_values`` with ceil(rows*log10 b) + 17
+    decimals, at least 17 significant digits even for the smallest nonzero
+    value b**-rows, so every value parses back to the same float.
+    """
+    decimals = math.ceil(ms.rows * math.log10(ms.base)) + 17
     lines = [_gen_header(ms, m)]
-    for pt in arr:
-        vals = []
-        for coord in pt:
-            num = 0
-            for d in coord:
-                num = num * ms.base + int(d)
-            vals.append(f"{float(Fraction(num, den)):.{decimals}f}")
-        lines.append(",".join(vals))
+    for pt in net_values(ms, m).tolist():
+        lines.append(",".join(f"{v:.{decimals}f}" for v in pt))
     return "\n".join(lines) + "\n"
 
 

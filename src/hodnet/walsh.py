@@ -13,15 +13,17 @@ exactly, and verifies the combinatorial pair-count formulas by brute force.
 
 Two independent integration routes exist for the periodic-part coefficient:
 the production route accumulates the inner integral cell by cell with a
-single polynomial recurrence (cost linear in the cell count), while
-``_periodic_coeff_reference`` integrates every cell pair directly with a
-diagonal split (cost quadratic, test oracle).  Both are exact.
+single polynomial recurrence (cost linear in the cell count), while the
+oracle ``_periodic_coeff_reference`` integrates the periodic difference
+Bper_r(x - y)/r! over every cell pair from the offset table
+``_periodic_offset_integrals`` (cost quadratic; any degree r >= 2, and equal
+to B_r(|x - y|)/r! for even r).  Both are exact.  The same offset table
+drives the aggregated one-dimensional dual sum in ``kernel``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Iterator
@@ -162,6 +164,45 @@ def _bernoulli_cell_integrals(base: int, r: int, g: int) -> tuple[int, list[int]
     return den, nums
 
 
+def _anti1(r: int, x: Fraction) -> Fraction:
+    return bernoulli(r + 1, x) / (r + 1)
+
+
+def _anti2(r: int, x: Fraction) -> Fraction:
+    return bernoulli(r + 2, x) / ((r + 1) * (r + 2))
+
+
+def _periodic_offset_integrals(base: int, r: int, g: int) -> list[Fraction]:
+    """Integrals of the periodic Bernoulli difference Bper_r(x - y) over cell
+    pairs at resolution g.
+
+    Entry u is the integral over any cell pair whose offset tx - ty is
+    congruent to u modulo b**g; translation invariance modulo one period
+    makes the offset class the only parameter.
+    """
+    if r < 2:
+        raise UsageError("offset integrals require degree >= 2")
+    n = base**g
+    h = Fraction(1, n)
+    f2 = [_anti2(r, u * h) for u in range(n + 1)]
+    out = [Fraction(0)] * n
+    # Offset 0 splits along the diagonal; the wrapped branch contributes the
+    # mirrored triangle of B_r evaluated one period up.
+    out[0] = (
+        f2[1]
+        - f2[0]
+        - _anti1(r, Fraction(0)) * h
+        + _anti1(r, Fraction(1)) * h
+        - f2[n]
+        + f2[n - 1]
+    )
+    # Off the diagonal the box integral is a second central difference of
+    # the double antiderivative.
+    for u in range(1, n):
+        out[u] = f2[u + 1] - 2 * f2[u] + f2[u - 1]
+    return out
+
+
 @lru_cache(maxsize=None)
 def bernoulli_walsh_coeff(base: int, r: int, k: int) -> Cyclotomic:
     """bhat_r(k): the k-th Walsh coefficient of B_r(x)/r!, exact.
@@ -284,43 +325,24 @@ def _phi_cell_integrals(base: int, r: int, l: int) -> tuple[int, int, tuple]:
     return g, den, tuple(tuple(row) for row in nums)
 
 
-def _anti1(r: int, x: Fraction) -> Fraction:
-    return bernoulli(r + 1, x) / (r + 1)
-
-
-def _anti2(r: int, x: Fraction) -> Fraction:
-    return bernoulli(r + 2, x) / ((r + 1) * (r + 2))
-
-
 def _periodic_coeff_reference(base: int, r: int, k: int, l: int) -> Cyclotomic:
-    """Direct cell-pair integration of B_r(|x-y|)/r! against the Walsh pair.
+    """Walsh coefficient of Bper_r(x - y)/r! by direct cell-pair summation.
 
-    Exhaustive over all b**(2g) cell pairs with the diagonal cells split
-    along x = y; quadratic cost, used as the oracle for the fast route.
+    Exhaustive over all b**(2g) cell pairs, each read from the offset table;
+    quadratic cost, used as the oracle for the fast route.
     """
-    if r < 2:
-        raise UsageError("the periodic coefficient requires degree >= 2")
     g = max(len(digits_of(k, base)), len(digits_of(l, base)))
     n = base**g
-    h = Fraction(1, n)
+    offsets = _periodic_offset_integrals(base, r, g)
     ek = _char_exponents(base, g, k)
     el = _char_exponents(base, g, l)
-    # Box integral of B_r over an offset-u cell pair is a second central
-    # difference of the double antiderivative; diagonal cells contribute two
-    # congruent triangles.
-    f2 = [_anti2(r, u * h) for u in range(n + 1)]
-    diag = 2 * (f2[1] - f2[0] - _anti1(r, Fraction(0)) * h)
-    off = [None] + [f2[u + 1] - 2 * f2[u] + f2[u - 1] for u in range(1, n)]
-    class_sums: dict[int, Fraction] = {}
+    class_sums = [Fraction(0)] * base
     for tx in range(n):
         for ty in range(n):
-            u = abs(tx - ty)
-            val = diag if u == 0 else off[u]
-            e = (int(el[ty]) - int(ek[tx])) % base
-            class_sums[e] = class_sums.get(e, Fraction(0)) + val
+            class_sums[(int(el[ty]) - int(ek[tx])) % base] += offsets[(tx - ty) % n]
     rfact = math.factorial(r)
     acc = Cyclotomic.zero(base)
-    for e, s in class_sums.items():
+    for e, s in enumerate(class_sums):
         if s:
             acc = acc + Cyclotomic.root(base, e) * (s / rfact)
     return acc
@@ -329,16 +351,14 @@ def _periodic_coeff_reference(base: int, r: int, k: int, l: int) -> Cyclotomic:
 def periodic_bernoulli_walsh_coeff(base: int, r: int, k: int, l: int) -> Cyclotomic:
     """bhat_per_r(k, l): Walsh coefficient of B_r(|x-y|)/r! in two variables.
 
-    Even degrees run through the linear-cost cell accumulation (orienting
-    the finer index as the inner integral via conjugate symmetry of the
-    |x-y| kernel); odd degrees fall back to direct cell-pair integration.
+    Even degrees only (the kernel needs degree 2 alpha); runs through the
+    linear-cost cell accumulation, orienting the finer index as the inner
+    integral via conjugate symmetry of the |x-y| kernel.
     """
-    if r < 2:
-        raise UsageError("the periodic coefficient requires degree >= 2")
+    if r < 2 or r % 2:
+        raise UsageError("the periodic coefficient requires even degree >= 2")
     if k < 0 or l < 0:
         raise UsageError("indices must be nonnegative")
-    if r % 2:
-        return _periodic_coeff_reference(base, r, k, l)
     gk = len(digits_of(k, base))
     gl = len(digits_of(l, base))
     if gk > gl:
@@ -483,29 +503,6 @@ def iter_kernel_coeffs(
                 yield (i, j, (p, q), value)
             if want_bwd:
                 yield (j, i, (q, p), value.conjugate())
-
-
-@dataclass
-class WalshCoeffTable:
-    """Exact kernel Walsh coefficients indexed by (k, l), with pair types."""
-
-    base: int
-    alpha: int
-    entries: dict[tuple[int, int], tuple[Cyclotomic, tuple[int, int]]]
-
-    def value(self, k: int, l: int) -> Cyclotomic:
-        return self.entries[(k, l)][0]
-
-    def ptype(self, k: int, l: int) -> tuple[int, int]:
-        return self.entries[(k, l)][1]
-
-
-def build_coeff_table(base: int, alpha: int, max_index: int) -> WalshCoeffTable:
-    entries = {
-        (k, l): (value, ptype)
-        for k, l, ptype, value in iter_kernel_coeffs(base, alpha, max_index)
-    }
-    return WalshCoeffTable(base, alpha, entries)
 
 
 def sparsity_violations(

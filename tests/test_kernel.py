@@ -6,18 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodnet.bernoulli import bernoulli, bernoulli_coeffs
 from hodnet.cyclotomic import Cyclotomic
 from hodnet.errors import ResourceLimitError, UsageError
 from hodnet.kernel import (
     KernelSpec,
+    _kernel_matrix_1d,
     dual_walsh_sum_exact,
     kernel_1d,
-    kernel_1d_exact,
-    qmc_integrate,
     wce,
-    wce_dual_truncated,
     wce_squared_exact,
 )
 from hodnet.matrices import build_matrices, niederreiter_set
@@ -50,9 +50,9 @@ def test_bernoulli_derivative_relation():
 
 
 def test_kernel_values():
-    assert kernel_1d_exact(1, Fraction(0), Fraction(0)) == Fraction(4, 3)
-    assert kernel_1d_exact(1, Fraction(0), Fraction(1, 2)) == Fraction(23, 24)
-    assert kernel_1d_exact(1, Fraction(1, 2), Fraction(1, 2)) == Fraction(13, 12)
+    assert kernel_1d(1, Fraction(0), Fraction(0)) == Fraction(4, 3)
+    assert kernel_1d(1, Fraction(0), Fraction(1, 2)) == Fraction(23, 24)
+    assert kernel_1d(1, Fraction(1, 2), Fraction(1, 2)) == Fraction(13, 12)
     assert kernel_1d(1, 0.0, 0.0) == pytest.approx(4 / 3, abs=1e-14)
 
 
@@ -64,6 +64,35 @@ def test_kernel_symmetry_random():
             assert kernel_1d(alpha, x, y) == pytest.approx(
                 kernel_1d(alpha, y, x), rel=1e-13
             )
+
+
+def _dyadic_rationals(base):
+    return st.integers(1, 12).flatmap(
+        lambda k: st.builds(
+            Fraction, st.integers(0, base**k - 1), st.just(base**k)
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.sampled_from((1, 2, 3)),
+    pair=st.sampled_from((2, 3, 5)).flatmap(
+        lambda b: st.tuples(_dyadic_rationals(b), _dyadic_rationals(b))
+    ),
+)
+def test_kernel_exact_symmetric_and_matches_matrix_path(alpha, pair):
+    # The exact scalar kernel (the oracle) and the vectorized binary64 block
+    # (production) must define the same K_alpha.
+    x, y = pair
+    exact = kernel_1d(alpha, x, y)
+    assert type(exact) is Fraction
+    assert exact == kernel_1d(alpha, y, x)
+    block = _kernel_matrix_1d(
+        alpha, np.array([float(x), float(y)]), np.array([float(y), float(x)])
+    )
+    for got in (block[0, 0], block[1, 1]):
+        assert got == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_wce_single_point_fixtures():
@@ -117,17 +146,10 @@ def test_wce_dimension_mismatch():
         wce(KernelSpec(1, 2), np.array([[0.5]]))
 
 
-def test_qmc_mean_consistency():
-    # Constant integrands are integrated with zero error by any rule.
-    ms = build_matrices(2, 2, 3, order=2)
-    pts = net_points(ms, 3)
-    assert qmc_integrate(lambda x, y: 1.0, pts) == pytest.approx(1.0, abs=0.0)
-
-
 def test_dual_truncated_empty_below_rho():
     ms = niederreiter_set(2, 1, 2, 2)
     spec = KernelSpec(1, 1)
-    assert wce_dual_truncated(spec, ms, 2, 2) == 0.0
+    assert dual_walsh_sum_exact(spec, ms, 2, 2).is_zero()
 
 
 def test_dual_truncated_converges_to_kernel_wce():
@@ -163,9 +185,10 @@ def test_dual_sum_two_dimensional_pairwise():
     # qualitatively (truncation from below at a coarse cutoff).
     spec = KernelSpec(1, 2)
     ms = niederreiter_set(2, 2, 2, 2)
-    val = wce_dual_truncated(spec, ms, 2, 4)
+    val = dual_walsh_sum_exact(spec, ms, 2, 4)
+    assert val.is_real()
     e2 = float(wce_squared_exact(spec, net_points(ms, 2)))
-    assert 0 < val < e2 + 1e-12
+    assert 0 < val.to_complex().real < e2 + 1e-12
 
 
 def test_dual_sum_imaginary_cancellation_base3():

@@ -80,7 +80,7 @@ def test_interlace_row_map_is_bijection():
         for r in range(1, rows + 1):
             h = (r - 1) // factor + 1
             i = (r - 1) % factor + 1
-            key = (factor * (j - 1) + i, h)
+            key = (factor * j + i, h)
             assert key not in seen
             seen.add(key)
             assert np.array_equal(

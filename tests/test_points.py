@@ -118,7 +118,20 @@ def test_point_formats():
     lines = csv.strip().split("\n")
     assert lines[0].startswith("# b=2 s=1 m=2 d=1 construction=niederreiter")
     assert len(lines) == 5
-    # ceil(2 * log10(2)) + 2 = 3 decimal digits
-    assert lines[2] == "0.500"
+    # ceil(2 * log10(2)) + 17 = 18 decimal digits
+    assert lines[2] == "0.500000000000000000"
     digits = format_points_digits(ms, 2).strip().split("\n")
     assert digits[1:] == ["00", "10", "01", "11"]
+
+
+@pytest.mark.parametrize(
+    "base,dims,m,order",
+    [(2, 2, 6, 3), (3, 2, 4, 2), (2, 1, 8, 7)],
+)
+def test_csv_round_trips_to_net_values(base, dims, m, order):
+    # Every printed value parses back to the binary64 that wce analyses; at
+    # d=7, m=8 the 56 digit rows hold more bits than binary64 does.
+    ms = build_matrices(base, dims, m, order=order)
+    lines = format_points_csv(ms, m).splitlines()[1:]
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
+    assert np.array_equal(parsed, net_values(ms, m))
