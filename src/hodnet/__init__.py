@@ -57,7 +57,6 @@ from .walsh import (
     kernel_walsh_coeff,
     kernel_walsh_coeff_vec,
     pair_type,
-    periodic_bernoulli_walsh_coeff,
     sparsity_violations,
     walsh_exponent,
     walsh_point_exponent,

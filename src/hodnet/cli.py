@@ -33,6 +33,7 @@ from .quality import (
     dick_weight,
     dual_indices,
     min_dual_weight,
+    propagated_t,
 )
 from .walsh import iter_kernel_coeffs
 
@@ -170,7 +171,15 @@ def _cmd_verify(args) -> int:
     alpha = args.alpha if args.alpha is not None else args.order
     t = args.t
     if t is None:
-        t = t_value_bound(args.base, alpha, args.dims)
+        # An order-d net with parameter t_d is an order-alpha net with
+        # ceil(t_d * alpha / d) for alpha <= d; beyond d no bound follows.
+        if alpha > args.order:
+            raise UsageError(
+                f"alpha={alpha} exceeds the interlacing order d={args.order}; "
+                "give --t"
+            )
+        t = propagated_t(t_value_bound(args.base, args.order, args.dims),
+                         args.order, alpha)
     cert = certify_net(ms, alpha, t, m=args.m, work_limit=args.work_limit)
     report = cert.as_dict()
     rho_cap = args.rho_cap if args.rho_cap is not None else alpha * args.m + 2
@@ -231,19 +240,16 @@ def _cmd_wce(args) -> int:
 
 def _cmd_walsh(args) -> int:
     base, alpha = args.base, args.alpha
-    entries = {}
-    for k, l, ptype, value in iter_kernel_coeffs(base, alpha, args.kmax):
-        entries[(k, l)] = (ptype, value)
+    mu1 = [dick_weight(base, 1, k) for k in range(args.kmax)]
+    mu_alpha = [dick_weight(base, alpha, k) for k in range(args.kmax)]
     lines = [
         f"# hodnet walsh v{__version__} b={base} alpha={alpha} kmax={args.kmax}",
         "k,l,p,q,mu1_k,mu1_l,mu_alpha_k,mu_alpha_l,re,im,is_exact_zero",
     ]
-    for (k, l) in sorted(entries):
-        (p, q), value = entries[(k, l)]
+    for k, l, (p, q), value in iter_kernel_coeffs(base, alpha, args.kmax):
         z = value.to_complex()
         lines.append(
-            f"{k},{l},{p},{q},{dick_weight(base, 1, k)},{dick_weight(base, 1, l)},"
-            f"{dick_weight(base, alpha, k)},{dick_weight(base, alpha, l)},"
+            f"{k},{l},{p},{q},{mu1[k]},{mu1[l]},{mu_alpha[k]},{mu_alpha[l]},"
             f"{z.real:.17g},{z.imag:.17g},{int(value.is_zero())}"
         )
     _emit("\n".join(lines) + "\n", args.out)
@@ -251,32 +257,19 @@ def _cmd_walsh(args) -> int:
 
 
 def _cmd_converge(args) -> int:
+    # Every given flag reaches ExperimentConfig, which validates it; absent
+    # flags keep the config file's value or the dataclass default.
+    overrides = {
+        name: getattr(args, name)
+        for name in ("base", "alpha", "order", "dims", "threads", "work_limit", "out")
+        if getattr(args, name) is not None
+    }
+    if args.m_range is not None:
+        overrides["m_min"], overrides["m_max"] = _parse_m_range(args.m_range)
     if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-        overrides = {}
-        for name in ("base", "alpha", "order", "dims", "threads", "work_limit"):
-            v = getattr(args, name, None)
-            if v is not None:
-                overrides[name] = v
-        if args.m_range:
-            overrides["m_min"], overrides["m_max"] = _parse_m_range(args.m_range)
-        if args.out:
-            overrides["out"] = args.out
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        cfg = dataclasses.replace(ExperimentConfig.from_json(args.config), **overrides)
     else:
-        m_min, m_max = _parse_m_range(args.m_range or "1:8")
-        cfg = ExperimentConfig(
-            base=args.base or 2,
-            alpha=args.alpha or 1,
-            order=args.order,
-            dims=args.dims or 1,
-            m_min=m_min,
-            m_max=m_max,
-            out=args.out,
-            work_limit=args.work_limit or DEFAULT_WORK_LIMIT,
-            threads=args.threads or 1,
-        )
+        cfg = ExperimentConfig(**overrides)
     rows = run_convergence(cfg)
     echo = json.dumps(cfg.as_dict(), sort_keys=True)
     lines = [
@@ -344,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--t", type=int, default=None,
-        help="quality parameter (default: the construction bound)",
+        help="quality parameter (default: the order-d construction bound "
+        "propagated to alpha; required when alpha exceeds d)",
     )
     verify.add_argument(
         "--rho-cap", type=int, dest="rho_cap", default=None,

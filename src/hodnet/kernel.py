@@ -15,8 +15,11 @@ N**2, minus 1.
 and binary64 on floats.  ``wce`` evaluates it in vectorized binary64 with
 deterministic blockwise compensated summation (production), and
 ``wce_squared_exact`` sums it exactly over small point sets (roundoff
-oracle).  An independent route sums exact Walsh coefficients of the kernel
-over the truncated dual net.
+oracle).  An independent route, ``dual_walsh_sum_exact``, sums exact Walsh
+coefficients of the kernel over the truncated dual net: in one dimension as
+a single Walsh transform of the exact cell matrix ``walsh._cell_matrix``
+weighted by the dual set's class counts (production), in more dimensions
+pair by pair through ``kernel_walsh_coeff_vec``.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .matrices import GeneratingMatrixSet
 from .points import DigitPoint
 from .quality import DEFAULT_WORK_LIMIT, dual_indices
 from .walsh import (
-    _bernoulli_cell_integrals,
-    _char_exponents,
-    _periodic_offset_integrals,
+    _class_masks,
+    _exponent_matrix,
+    _walsh_transform,
     kernel_walsh_coeff_vec,
 )
 
@@ -187,8 +190,9 @@ def dual_walsh_sum_exact(
 
     Sums khat over all pairs of nonzero dual vectors with weight-1 metric at
     most the cutoff.  In one dimension the sum is aggregated through
-    bilinearity: per-cell character sums replace the pairwise loop, which
-    keeps exact arithmetic linear in the cell count (values agree with the
+    bilinearity: the class counts of all dual indices weight one Walsh
+    transform of the cell matrix at resolution cutoff, whose b**(2 cutoff)
+    cell pairs are charged against ``work_limit`` (values agree with the
     pairwise route, which remains as the oracle for small cases).
     """
     if m < 1 or m > ms.cols:
@@ -200,6 +204,11 @@ def dual_walsh_sum_exact(
     if spec.dims != ms.dims:
         raise UsageError("kernel spec and matrix set dimensions differ")
     if spec.dims == 1:
+        if base ** (2 * mu1_cutoff) > work_limit:
+            raise ResourceLimitError(
+                f"{base ** (2 * mu1_cutoff)} cell pairs at resolution "
+                f"{mu1_cutoff} exceed the work limit {work_limit}"
+            )
         return _dual_sum_aggregated(
             base, spec.alpha, [d.components[0] for d in duals], mu1_cutoff
         )
@@ -219,39 +228,8 @@ def dual_walsh_sum_exact(
 def _dual_sum_aggregated(
     base: int, alpha: int, ks: list[int], cutoff: int
 ) -> Cyclotomic:
-    g = cutoff
-    n = base**g
-    # Class counts of the aggregated character sum W(t) = sum_k w**e_k(t).
-    counts = np.zeros((base, n), dtype=np.int64)
-    for k in ks:
-        evec = _char_exponents(base, g, k)
-        for e in range(base):
-            counts[e] += evec == e
-    # Polynomial part: sum_r |sum_k bhat_r(k)|**2 via per-cell aggregation.
-    acc = Cyclotomic.zero(base)
-    for r in range(alpha + 1):
-        den, nums = _bernoulli_cell_integrals(base, r, g)
-        a_r = Cyclotomic.zero(base)
-        for e in range(base):
-            dot = sum(int(c) * num for c, num in zip(counts[e], nums))
-            if dot:
-                a_r = a_r + Cyclotomic.root(base, -e) * Fraction(dot, den)
-        acc = acc + a_r * a_r.conjugate()
-    # Periodic part: conj(W(t_x)) W(t_y) correlated against the offset table.
-    r = 2 * alpha
-    offsets = _periodic_offset_integrals(base, r, g)
-    den_off = math.lcm(*(f.denominator for f in offsets))
-    off_nums = [int(f * den_off) for f in offsets]
-    per = Cyclotomic.zero(base)
-    for e in range(base):
-        for e2 in range(base):
-            corr_dot = 0
-            for u in range(n):
-                corr = int(np.dot(np.roll(counts[e], -u), counts[e2]))
-                if corr:
-                    corr_dot += off_nums[u] * corr
-            if corr_dot:
-                per = per + Cyclotomic.root(base, e2 - e) * Fraction(
-                    corr_dot, den_off * math.factorial(r)
-                )
-    return acc + per if alpha % 2 else acc - per
+    # sum_{k, l} khat(k, l) is the cell-matrix bilinear form weighted on both
+    # sides by the class counts #{k : e_k(t) = e} at resolution cutoff.
+    counts = _class_masks(base, _exponent_matrix(base, cutoff)[ks])
+    counts = counts.sum(axis=1, keepdims=True)
+    return _walsh_transform(base, alpha, cutoff, counts, counts)(0, 0)

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .gf import digits_of
 from .matrices import GeneratingMatrixSet
 
 DEFAULT_WORK_LIMIT = 10**7
@@ -231,6 +230,16 @@ class NetCertificate:
     verdict: str  # "certified" | "refuted"
     witness: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
+    @property
+    def budget(self) -> int:
+        """The weight budget alpha*m - t that admissible row selections share."""
+        return self.alpha * self.m - self.t
+
+    @property
+    def vacuous(self) -> bool:
+        """True when no row selection fits the budget, so nothing was checked."""
+        return self.budget <= 0
+
     def as_dict(self) -> dict:
         d = {
             "b": self.base,
@@ -238,6 +247,8 @@ class NetCertificate:
             "m": self.m,
             "alpha": self.alpha,
             "t": self.t,
+            "budget": self.budget,
+            "vacuous": self.vacuous,
             "verdict": self.verdict,
         }
         if self.witness is not None:
@@ -383,9 +394,14 @@ def propagation_check(
     """
     if not 1 <= alpha_prime < alpha:
         raise UsageError("alpha_prime must satisfy 1 <= alpha_prime < alpha")
-    t_prime = -(-t * alpha_prime // alpha)
-    return certify_net(ms, alpha_prime, t_prime, m=m, dims=dims,
-                       work_limit=work_limit)
+    return certify_net(ms, alpha_prime, propagated_t(t, alpha, alpha_prime),
+                       m=m, dims=dims, work_limit=work_limit)
+
+
+def propagated_t(t: int, alpha: int, alpha_prime: int) -> int:
+    """ceil(t * alpha' / alpha): the quality parameter with which an order-alpha
+    net of parameter t is an order-alpha' net, for 1 <= alpha' <= alpha."""
+    return -(-t * alpha_prime // alpha)
 
 
 def interpolation_gap(base: int, alpha: int, k) -> Fraction:

@@ -11,14 +11,19 @@ must be stripped before the tails agree, computes the kernel coefficients
 
 exactly, and verifies the combinatorial pair-count formulas by brute force.
 
-Two independent integration routes exist for the periodic-part coefficient:
-the production route accumulates the inner integral cell by cell with a
-single polynomial recurrence (cost linear in the cell count), while the
-oracle ``_periodic_coeff_reference`` integrates the periodic difference
-Bper_r(x - y)/r! over every cell pair from the offset table
-``_periodic_offset_integrals`` (cost quadratic; any degree r >= 2, and equal
-to B_r(|x - y|)/r! for even r).  Both are exact.  The same offset table
-drives the aggregated one-dimensional dual sum in ``kernel``.
+Production route: ``_cell_matrix`` holds the exact integrals I[tx, ty] of
+K_alpha over all b**g x b**g cell pairs, and ``_walsh_transform`` reads
+every coefficient from it,
+
+    khat(k, l) = sum_{tx, ty} w**(e_l(ty) - e_k(tx)) * I[tx, ty],
+
+in exact int64 limb arithmetic.  ``iter_kernel_coeffs`` (every pair of a
+scan), ``kernel_walsh_coeff`` (one pair) and the one-dimensional dual sum in
+``kernel`` all call it.  Oracle: ``bernoulli_walsh_coeff`` and
+``_periodic_coeff_reference`` integrate one pair at a time in Fractions;
+the reference reads the offset table ``_periodic_offset_integrals`` of
+Bper_r(x - y) (any degree r >= 2, equal to B_r(|x - y|) for even r), which
+the cell matrix shares.
 """
 
 from __future__ import annotations
@@ -32,11 +37,9 @@ import numpy as np
 
 from .bernoulli import bernoulli, bernoulli_coeffs
 from .cyclotomic import Cyclotomic
-from .errors import UsageError
+from .errors import ResourceLimitError, UsageError
 from .gf import digits_of
-from .quality import dick_weight, nonzero_digit_terms
-
-_LIMB_BITS = 40
+from .quality import DEFAULT_WORK_LIMIT, dick_weight, nonzero_digit_terms
 
 # Exact scans grow like b**(2 c1); these caps keep the cyclotomic arithmetic
 # tractable and match the scales the verification suite actually exercises.
@@ -104,12 +107,8 @@ def pair_type(base: int, k: int, l: int) -> tuple[int, int]:
 @lru_cache(maxsize=64)
 def _msb_digit_matrix(base: int, g: int) -> np.ndarray:
     """(b**g, g) array: row t holds the digits of t, most significant first."""
-    n = base**g
-    out = np.zeros((n, max(g, 1)), dtype=np.int64)
-    t = np.arange(n, dtype=np.int64)
-    for i in range(g):
-        out[:, i] = (t // base ** (g - 1 - i)) % base
-    return out[:, :g] if g else out[:, :0]
+    t = np.arange(base**g, dtype=np.int64)[:, None]
+    return (t // base ** np.arange(g - 1, -1, -1, dtype=np.int64)) % base
 
 
 def _char_exponents(base: int, g: int, k: int) -> np.ndarray:
@@ -119,8 +118,6 @@ def _char_exponents(base: int, g: int, k: int) -> np.ndarray:
     """
     if k >= base**g:
         raise UsageError(f"index {k} has digits beyond resolution {g}")
-    if g == 0:
-        return np.zeros(1, dtype=np.int64)
     kd = np.array(digits_of(k, base, g), dtype=np.int64)
     return (_msb_digit_matrix(base, g) @ kd) % base
 
@@ -128,15 +125,10 @@ def _char_exponents(base: int, g: int, k: int) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _exponent_matrix(base: int, g: int) -> np.ndarray:
     """(b**g, b**g) matrix of Walsh exponents e_i(t) for all i, t < b**g."""
-    n = base**g
-    if g == 0:
-        return np.zeros((1, 1), dtype=np.int64)
     dig = _msb_digit_matrix(base, g)
-    kd = np.zeros((n, g), dtype=np.int64)
-    i = np.arange(n, dtype=np.int64)
-    for d in range(g):
-        kd[:, d] = (i // base**d) % base
-    return (kd @ dig.T) % base
+    # Row i of the reversed matrix lists the digits of i least significant
+    # first, which is the order they pair with the cell digits.
+    return (dig[:, ::-1] @ dig.T) % base
 
 
 @lru_cache(maxsize=None)
@@ -203,6 +195,117 @@ def _periodic_offset_integrals(base: int, r: int, g: int) -> list[Fraction]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# The exact cell matrix and its two-dimensional Walsh transform
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _cell_matrix(base: int, alpha: int, g: int) -> tuple[int, np.ndarray]:
+    """Exact integrals of K_alpha over every pair of cells at resolution g.
+
+    Returns (den, nums): nums is a symmetric (b**g, b**g) object array of
+    ints, and the integral over the cell pair (tx, ty) is nums[tx, ty]/den.
+    The matrix is
+
+        sum_{r<=alpha} c_r c_r^T + (-1)**(alpha+1) circ(off) / (2 alpha)!
+
+    with c_r the cell integrals of B_r/r! and off the offset table of the
+    periodic part.  Capped at DEFAULT_WORK_LIMIT cell pairs, so no caller
+    can ask for a matrix that does not fit in memory.
+    """
+    n = base**g
+    if n * n > DEFAULT_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"the cell matrix at resolution {g} has {n * n} cell pairs, "
+            f"limit is {DEFAULT_WORK_LIMIT}"
+        )
+    rank_one = [_bernoulli_cell_integrals(base, r, g) for r in range(alpha + 1)]
+    r = 2 * alpha
+    off = _periodic_offset_integrals(base, r, g)
+    off_lcm = math.lcm(*(f.denominator for f in off))
+    off_den = off_lcm * math.factorial(r)
+    den = math.lcm(off_den, *(d * d for d, _ in rank_one))
+    nums = np.zeros((n, n), dtype=object)
+    for d, c in rank_one:
+        col = np.array(c, dtype=object)
+        nums += np.outer(col * (den // (d * d)), col)
+    sign = 1 if alpha % 2 else -1
+    off_nums = np.array([int(f * off_lcm) for f in off], dtype=object)
+    t = np.arange(n)
+    nums += off_nums[(t[:, None] - t[None, :]) % n] * (sign * (den // off_den))
+    return den, nums
+
+
+@lru_cache(maxsize=16)
+def _cell_limbs(base: int, alpha: int, g: int, width: int) -> tuple[int, np.ndarray]:
+    """The cell matrix as signed int64 limbs of ``width`` bits.
+
+    Returns (den, limbs) with nums == sum_j limbs[j] * 2**(width*j) entrywise;
+    every limb lies strictly inside (-2**width, 2**width).
+    """
+    den, nums = _cell_matrix(base, alpha, g)
+    mag = np.abs(nums)
+    nlimbs = max(1, -(-int(mag.max()).bit_length() // width))
+    mask = (1 << width) - 1
+    sign = np.where((nums < 0).astype(bool), -1, 1)
+    limbs = np.stack(
+        [((mag >> (width * j)) & mask).astype(np.int64) * sign for j in range(nlimbs)]
+    )
+    return den, limbs
+
+
+def _class_masks(base: int, exps: np.ndarray) -> np.ndarray:
+    """(b, K, n) 0/1 weights: [a, i, t] is 1 when exps[i, t] == a."""
+    return np.stack([exps == a for a in range(base)]).astype(np.int64)
+
+
+def _walsh_transform(
+    base: int, alpha: int, g: int, rows: np.ndarray, cols: np.ndarray
+) -> Callable[[int, int], Cyclotomic]:
+    """Exact two-dimensional Walsh transform of the cell matrix I at resolution g.
+
+    ``rows[a][i, tx]`` and ``cols[c][j, ty]`` are nonnegative integer weights
+    of the root classes a and c.  Returns value(i, j), the cyclotomic number
+
+        sum_{a, c} w**(c - a) * (rows[a] . I . cols[c]^T)[i, j].
+
+    With the class masks of Walsh exponents e_k and e_l on the two sides this
+    is khat(k, l) = sum_{tx, ty} w**(e_l(ty) - e_k(tx)) I[tx, ty].  Each int64
+    sum has at most (largest row weight total) * (largest column weight
+    total) limb terms, and the limb width keeps that sum below 2**63.
+    """
+    bound = int(rows.sum(axis=(0, 2)).max()) * int(cols.sum(axis=(0, 2)).max())
+    width = 63 - bound.bit_length()
+    if width < 1:
+        raise ResourceLimitError(
+            f"class weights totalling {bound} overflow int64 accumulation"
+        )
+    den, limbs = _cell_limbs(base, alpha, g, width)
+    acc = np.zeros((len(limbs), base, rows.shape[1], cols.shape[1]), dtype=np.int64)
+    for j, limb in enumerate(limbs):
+        left = [m @ limb for m in rows]
+        for a in range(base):
+            for c in range(base):
+                acc[j, (c - a) % base] += left[a] @ cols[c].T
+    total = acc[0].astype(object)
+    for j in range(1, len(limbs)):
+        total = total + acc[j].astype(object) * (1 << (width * j))
+    sums = total.tolist()
+
+    def value(i: int, j: int) -> Cyclotomic:
+        return Cyclotomic._from_length_b(
+            base, [Fraction(sums[e][i][j], den) for e in range(base)]
+        )
+
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Per-pair oracle
+# ---------------------------------------------------------------------------
+
+
 @lru_cache(maxsize=None)
 def bernoulli_walsh_coeff(base: int, r: int, k: int) -> Cyclotomic:
     """bhat_r(k): the k-th Walsh coefficient of B_r(x)/r!, exact.
@@ -225,111 +328,11 @@ def bernoulli_walsh_coeff(base: int, r: int, k: int) -> Cyclotomic:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# Periodic-part coefficients
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _shifted_bernoulli_table(base: int, deg: int, g: int) -> tuple[int, list[list[int]]]:
-    """Integer coefficient vectors of B_deg(delta*h + h*u) in u, all deltas.
-
-    h = b**-g and u ranges over [0, 1).  Returns (den_p, table) where
-    table[delta][j] / den_p is the u**j coefficient.
-    """
-    n = base**g
-    beta = bernoulli_coeffs(deg)
-    den_b = math.lcm(*(c.denominator for c in beta))
-    den_p = den_b * n**deg
-    ibeta = [int(c * den_b) for c in beta]
-    table = []
-    for delta in range(n):
-        coeffs = [0] * (deg + 1)
-        for j in range(deg + 1):
-            acc = 0
-            for i in range(j, deg + 1):
-                acc += ibeta[i] * math.comb(i, j) * delta ** (i - j) * n ** (deg - i)
-            coeffs[j] = acc
-        table.append(coeffs)
-    return den_p, table
-
-
-@lru_cache(maxsize=32)
-def _pascal_rows(size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(math.comb(i, j) for i in range(size)) for j in range(size)
-    )
-
-
-@lru_cache(maxsize=512)
-def _phi_cell_integrals(base: int, r: int, l: int) -> tuple[int, int, tuple]:
-    """Cell integrals of phi(x) = integral of Bper_r(x - y) wal_l(y) dy.
-
-    Requires even r >= 2 (Bper_r is the periodic extension of B_r; for even
-    degree it equals B_r(|x - y|)).  Returns (g, den, nums) with cells at
-    resolution g = c1(l) and
-
-        integral of phi over cell t = sum_e w**e * nums[e][t] / den.
-
-    Integrating the y-variable first leaves, on every x-cell, one polynomial
-    that a single shift-and-correct recurrence carries from cell to cell, so
-    the build costs O(b**g) exact integer operations instead of O(b**(2g)).
-    """
-    if r < 2 or r % 2:
-        raise UsageError("the periodic cell table requires even degree >= 2")
-    g = len(digits_of(l, base))
-    n = base**g
-    den_p, shift_tab = _shifted_bernoulli_table(base, r + 1, g)
-    evec = _char_exponents(base, g, l)
-    # Per root-of-unity class: indicator jumps between consecutive y-cells.
-    dchi = [[0] * n for _ in range(base)]
-    for tau in range(n):
-        e_here = int(evec[tau])
-        e_prev = int(evec[(tau - 1) % n])
-        if e_here != e_prev:
-            dchi[e_here][tau] += 1
-            dchi[e_prev][tau] -= 1
-    size = r + 2
-    pascal = _pascal_rows(size)
-    polys = [[0] * size for _ in range(base)]
-    for e in range(base):
-        col = dchi[e]
-        for tau in range(n):
-            c = col[tau]
-            if c:
-                row = shift_tab[(n - tau) % n]
-                pe = polys[e]
-                for j in range(size):
-                    pe[j] += c * row[j]
-    # Normalized-variable correction weight: (r+1) * h**r over den_p.
-    corr = (r + 1) * (den_p // n**r)
-    lcm_j = math.lcm(*range(1, size + 1))
-    den = den_p * n * (r + 1) * lcm_j
-    mults = [lcm_j // (j + 1) for j in range(size)]
-    nums = [[0] * n for _ in range(base)]
-    for t in range(n):
-        if t:
-            for e in range(base):
-                pe = polys[e]
-                shifted = [
-                    sum(pascal[j][i] * pe[i] for i in range(j, size))
-                    for j in range(size)
-                ]
-                c = dchi[e][t]
-                if c:
-                    shifted[r] -= c * corr
-                polys[e] = shifted
-        for e in range(base):
-            pe = polys[e]
-            nums[e][t] = sum(pe[j] * mults[j] for j in range(size))
-    return g, den, tuple(tuple(row) for row in nums)
-
-
 def _periodic_coeff_reference(base: int, r: int, k: int, l: int) -> Cyclotomic:
     """Walsh coefficient of Bper_r(x - y)/r! by direct cell-pair summation.
 
-    Exhaustive over all b**(2g) cell pairs, each read from the offset table;
-    quadratic cost, used as the oracle for the fast route.
+    Exhaustive over all b**(2g) cell pairs, each read from the offset table,
+    in exact Fractions; the per-pair oracle for the periodic part.
     """
     g = max(len(digits_of(k, base)), len(digits_of(l, base)))
     n = base**g
@@ -348,51 +351,23 @@ def _periodic_coeff_reference(base: int, r: int, k: int, l: int) -> Cyclotomic:
     return acc
 
 
-def periodic_bernoulli_walsh_coeff(base: int, r: int, k: int, l: int) -> Cyclotomic:
-    """bhat_per_r(k, l): Walsh coefficient of B_r(|x-y|)/r! in two variables.
-
-    Even degrees only (the kernel needs degree 2 alpha); runs through the
-    linear-cost cell accumulation, orienting the finer index as the inner
-    integral via conjugate symmetry of the |x-y| kernel.
-    """
-    if r < 2 or r % 2:
-        raise UsageError("the periodic coefficient requires even degree >= 2")
-    if k < 0 or l < 0:
-        raise UsageError("indices must be nonnegative")
-    gk = len(digits_of(k, base))
-    gl = len(digits_of(l, base))
-    if gk > gl:
-        return periodic_bernoulli_walsh_coeff(base, r, l, k).conjugate()
-    g, den, nums = _phi_cell_integrals(base, r, l)
-    n = base**g
-    evec = _char_exponents(base, g, k)
-    sums = [[0] * base for _ in range(base)]
-    for t in range(n):
-        ep = int(evec[t])
-        row = sums[ep]
-        for e in range(base):
-            row[e] += nums[e][t]
-    rden = den * math.factorial(r)
-    acc = Cyclotomic.zero(base)
-    for ep in range(base):
-        for e in range(base):
-            s = sums[ep][e]
-            if s:
-                acc = acc + Cyclotomic.root(base, e - ep) * Fraction(s, rden)
-    return acc
+# ---------------------------------------------------------------------------
+# Kernel coefficients
+# ---------------------------------------------------------------------------
 
 
 def kernel_walsh_coeff(base: int, alpha: int, k: int, l: int) -> Cyclotomic:
-    """Exact Walsh coefficient of the one-dimensional smoothness-alpha kernel."""
+    """Exact Walsh coefficient of the one-dimensional smoothness-alpha kernel.
+
+    The 1x1 Walsh transform of the cell matrix at resolution max(c1(k),
+    c1(l)), where both Walsh functions are constant on every cell.
+    """
     if alpha < 1:
         raise UsageError("alpha must be positive")
-    acc = Cyclotomic.zero(base)
-    for r in range(alpha + 1):
-        acc = acc + bernoulli_walsh_coeff(base, r, k) * bernoulli_walsh_coeff(
-            base, r, l
-        ).conjugate()
-    per = periodic_bernoulli_walsh_coeff(base, 2 * alpha, k, l)
-    return acc + per if alpha % 2 else acc - per
+    g = max(len(digits_of(k, base)), len(digits_of(l, base)))
+    rows = _class_masks(base, _char_exponents(base, g, k)[None, :])
+    cols = _class_masks(base, _char_exponents(base, g, l)[None, :])
+    return _walsh_transform(base, alpha, g, rows, cols)(0, 0)
 
 
 def kernel_walsh_coeff_vec(base: int, alpha: int, ks, ls) -> Cyclotomic:
@@ -406,31 +381,6 @@ def kernel_walsh_coeff_vec(base: int, alpha: int, ks, ls) -> Cyclotomic:
     )
 
 
-# ---------------------------------------------------------------------------
-# Batch scans
-# ---------------------------------------------------------------------------
-
-
-def _limb_matrix(values) -> tuple[np.ndarray, int]:
-    maxmag = max((abs(v) for v in values), default=0)
-    nlimbs = max(1, (maxmag.bit_length() + _LIMB_BITS - 1) // _LIMB_BITS)
-    out = np.zeros((len(values), nlimbs), dtype=np.int64)
-    mask = (1 << _LIMB_BITS) - 1
-    for idx, v in enumerate(values):
-        mag, sgn = (v, 1) if v >= 0 else (-v, -1)
-        for lam in range(nlimbs):
-            out[idx, lam] = sgn * (mag & mask)
-            mag >>= _LIMB_BITS
-    return out, nlimbs
-
-
-def _recombine(row: np.ndarray) -> int:
-    acc = 0
-    for lam in range(row.shape[0] - 1, -1, -1):
-        acc = (acc << _LIMB_BITS) + int(row[lam])
-    return acc
-
-
 def iter_kernel_coeffs(
     base: int,
     alpha: int,
@@ -439,11 +389,12 @@ def iter_kernel_coeffs(
 ) -> Iterator[tuple[int, int, tuple[int, int], Cyclotomic]]:
     """Exact kernel coefficients for all ordered pairs k, l < max_index.
 
-    Yields (k, l, (p, q), value) grouped by the finer index (no global
-    order).  ``pair_filter(k, l, p, q)`` may skip the value assembly for
-    pairs the caller does not need; classification still happens for every
-    pair.  Capped at max_index <= b**5 and alpha <= 3, where exact
-    arithmetic stays tractable.
+    Yields (k, l, (p, q), value) in row-major (k, l) order, all values read
+    from one Walsh transform of the cell matrix at resolution
+    c1(max_index - 1).  ``pair_filter(k, l, p, q)`` may skip the value
+    assembly for pairs the caller does not need; classification still
+    happens for every pair.  Capped at max_index <= b**5 and alpha <= 3,
+    where exact arithmetic stays tractable.
     """
     if alpha < 1 or alpha > MAX_SCAN_ALPHA:
         raise UsageError(f"alpha must lie in [1, {MAX_SCAN_ALPHA}] for scans")
@@ -451,58 +402,14 @@ def iter_kernel_coeffs(
         raise UsageError(
             f"max_index must lie in [1, b**{MAX_SCAN_DIGITS}] for exact scans"
         )
-    r = 2 * alpha
-    rfact = math.factorial(r)
-    positive_sign = bool(alpha % 2)
-    bhat = [
-        [bernoulli_walsh_coeff(base, rr, i) for i in range(max_index)]
-        for rr in range(alpha + 1)
-    ]
-    conj_bhat = [[v.conjugate() for v in row] for row in bhat]
-    ndig = [len(digits_of(i, base)) for i in range(max_index)]
-
-    def assemble(i: int, j: int, per: Cyclotomic) -> Cyclotomic:
-        acc = Cyclotomic.zero(base)
-        for rr in range(alpha + 1):
-            acc = acc + bhat[rr][i] * conj_bhat[rr][j]
-        return acc + per if positive_sign else acc - per
-
-    for j in range(max_index):
-        g = ndig[j]
-        n = base**g
-        npart = min(n, max_index)
-        _, den, nums = _phi_cell_integrals(base, r, j)
-        rden = den * rfact
-        emat = _exponent_matrix(base, g)[:npart]
-        masks = [(emat == e).astype(np.int64) for e in range(base)]
-        # Bucket the integer cell integrals by the partner's root class.
-        bucket: list[list[np.ndarray]] = []
-        nlimbs: list[int] = []
-        for e in range(base):
-            limbs, nl = _limb_matrix(nums[e])
-            nlimbs.append(nl)
-            bucket.append([m @ limbs for m in masks])
-        for i in range(npart):
-            p, q = pair_type(base, i, j)
-            want_fwd = pair_filter is None or pair_filter(i, j, p, q)
-            want_bwd = ndig[i] < g and (
-                pair_filter is None or pair_filter(j, i, q, p)
-            )
-            if not (want_fwd or want_bwd):
-                continue
-            per = Cyclotomic.zero(base)
-            for ep in range(base):
-                for e in range(base):
-                    s = _recombine(bucket[e][ep][i])
-                    if s:
-                        per = per + Cyclotomic.root(base, e - ep) * Fraction(
-                            s, rden
-                        )
-            value = assemble(i, j, per)
-            if want_fwd:
-                yield (i, j, (p, q), value)
-            if want_bwd:
-                yield (j, i, (q, p), value.conjugate())
+    g = len(digits_of(max_index - 1, base))
+    masks = _class_masks(base, _exponent_matrix(base, g)[:max_index])
+    khat = _walsh_transform(base, alpha, g, masks, masks)
+    for k in range(max_index):
+        for l in range(max_index):
+            p, q = pair_type(base, k, l)
+            if pair_filter is None or pair_filter(k, l, p, q):
+                yield (k, l, (p, q), khat(k, l))
 
 
 def sparsity_violations(

@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line interface through ``main(argv)``."""
 
+import json
+
 import pytest
 
 from hodnet.cli import main
@@ -57,3 +59,53 @@ def test_work_limit_exits_3(tmp_path):
     out = str(tmp_path / "x")
     assert main(["converge", "--m-range", "1:6", "--work-limit", "100", "--out", out]) == 3
     assert main(["wce", "--m", "6", "--work-limit", "100", "--out", out]) == 3
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--alpha", "0", "--dims", "0"),
+        ("--base", "0"),
+        ("--dims", "0"),
+        ("--threads", "0"),
+    ],
+)
+def test_converge_rejects_bad_values(tmp_path, flags):
+    # Zero is a given value, not an absent flag: it must not fall back to a
+    # default.
+    argv = ["converge", *flags, "--m-range", "1:2", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+
+
+def _verify(tmp_path, *argv):
+    return json.loads(_run(tmp_path, "v.json", "verify", "--rho-cap", "0", *argv))
+
+
+def test_verify_default_t_propagates_from_interlacing_order(tmp_path):
+    # An order-3 net with t = 30 is an order-1 net with t = ceil(30/3) = 10,
+    # which leaves no weight budget at m = 8.
+    report = _verify(
+        tmp_path, "--order", "3", "--alpha", "1", "--dims", "2", "--m", "8"
+    )
+    assert (report["t"], report["budget"]) == (10, -2)
+    assert report["verdict"] == "certified"
+    assert report["vacuous"] is True
+
+
+def test_verify_flags_vacuous_certificate(tmp_path):
+    report = _verify(
+        tmp_path, "--order", "3", "--alpha", "3", "--dims", "2", "--m", "8"
+    )
+    assert (report["t"], report["budget"], report["vacuous"]) == (30, -6, True)
+    report = _verify(tmp_path, "--order", "2", "--dims", "2", "--m", "10")
+    assert report["budget"] == 20 - report["t"] > 0
+    assert report["vacuous"] is False
+
+
+def test_verify_alpha_above_order_needs_t(tmp_path):
+    # No default t follows for alpha > d; an explicit one is checked as given
+    # (here t = alpha*m, which leaves no budget).
+    argv = ("--order", "1", "--alpha", "2", "--m", "4")
+    assert main(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
+    report = _verify(tmp_path, *argv, "--t", "8")
+    assert (report["t"], report["vacuous"]) == (8, True)

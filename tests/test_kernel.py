@@ -152,6 +152,15 @@ def test_dual_truncated_empty_below_rho():
     assert dual_walsh_sum_exact(spec, ms, 2, 2).is_zero()
 
 
+def test_dual_sum_charges_cell_pairs():
+    # The s = 1 sum reads the cell matrix at resolution cutoff: 2**8 pairs.
+    spec = KernelSpec(1, 1)
+    ms = niederreiter_set(2, 1, 2, 2)
+    with pytest.raises(ResourceLimitError):
+        dual_walsh_sum_exact(spec, ms, 2, 4, work_limit=255)
+    assert dual_walsh_sum_exact(spec, ms, 2, 4, work_limit=256).is_rational()
+
+
 def test_dual_truncated_converges_to_kernel_wce():
     spec = KernelSpec(1, 1)
     ms = niederreiter_set(2, 1, 2, 2)

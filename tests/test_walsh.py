@@ -7,14 +7,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodnet.cyclotomic import Cyclotomic
-from hodnet.errors import UsageError
+from hodnet.errors import ResourceLimitError, UsageError
 from hodnet.points import DigitPoint
 from hodnet.quality import nonzero_digit_terms
 from hodnet.walsh import (
+    _cell_matrix,
     _exponent_matrix,
     _periodic_coeff_reference,
+    _walsh_transform,
     bernoulli_walsh_coeff,
     count_type_pairs,
     decay_ratio_sup,
@@ -22,7 +26,6 @@ from hodnet.walsh import (
     kernel_walsh_coeff,
     kernel_walsh_coeff_vec,
     pair_type,
-    periodic_bernoulli_walsh_coeff,
     sparsity_violations,
     walsh_exponent,
     walsh_point_exponent,
@@ -98,27 +101,34 @@ def test_bernoulli_walsh_examples():
 
 
 def test_periodic_coeff_zero_at_origin():
-    assert periodic_bernoulli_walsh_coeff(2, 2, 0, 0).is_zero()
-    assert periodic_bernoulli_walsh_coeff(3, 4, 0, 0).is_zero()
+    assert _periodic_coeff_reference(2, 2, 0, 0).is_zero()
+    assert _periodic_coeff_reference(3, 4, 0, 0).is_zero()
 
 
-def test_periodic_coeff_rejects_odd_degree():
-    # The kernel only needs degree 2 alpha; odd degrees live in the oracle.
-    for r in (1, 3, 5):
-        with pytest.raises(UsageError):
-            periodic_bernoulli_walsh_coeff(2, r, 1, 1)
+def _per_pair_oracle(b, alpha, k, l):
+    """khat(k, l) from the per-pair oracles: the Bernoulli products plus the
+    signed periodic coefficient summed cell pair by cell pair in Fractions."""
+    acc = Cyclotomic.zero(b)
+    for r in range(alpha + 1):
+        acc = acc + bernoulli_walsh_coeff(b, r, k) * bernoulli_walsh_coeff(
+            b, r, l
+        ).conjugate()
+    per = _periodic_coeff_reference(b, 2 * alpha, k, l)
+    return acc + per if alpha % 2 else acc - per
 
 
 @pytest.mark.parametrize("b", [2, 3])
 @pytest.mark.parametrize("r", [2, 4])
 def test_periodic_production_equals_reference(b, r):
-    # The linear-cost accumulation route must match the direct cell-pair
-    # integration exactly, both orientations.
+    # The production coefficient (the 1x1 transform of the cell matrix) must
+    # equal the per-pair oracle, whose degree-r periodic part is the direct
+    # cell-pair integration.
+    alpha = r // 2
     for k in range(b**2 + 3):
         for l in range(b**2 + 3):
-            assert periodic_bernoulli_walsh_coeff(
-                b, r, k, l
-            ) == _periodic_coeff_reference(b, r, k, l), (b, r, k, l)
+            assert kernel_walsh_coeff(b, alpha, k, l) == _per_pair_oracle(
+                b, alpha, k, l
+            ), (b, r, k, l)
 
 
 @pytest.mark.parametrize("b", [2, 3])
@@ -166,14 +176,17 @@ def test_multivariate_sparsity_corollary():
 
 
 def test_batch_engine_matches_per_pair():
-    for b, alpha in ((2, 1), (3, 1), (2, 2)):
+    # The scan reads every pair from one transform at the scan resolution;
+    # each value must equal the per-pair oracle and the 1x1 transform.
+    for b, alpha in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2)):
         got = {
             (k, l): (ptype, value)
             for k, l, ptype, value in iter_kernel_coeffs(b, alpha, b**2)
         }
-        assert len(got) == b**4
+        assert list(got) == [(k, l) for k in range(b**2) for l in range(b**2)]
         for (k, l), (ptype, value) in got.items():
             assert ptype == pair_type(b, k, l)
+            assert value == _per_pair_oracle(b, alpha, k, l), (b, alpha, k, l)
             assert value == kernel_walsh_coeff(b, alpha, k, l), (b, alpha, k, l)
 
 
@@ -182,6 +195,9 @@ def test_scan_caps():
         list(iter_kernel_coeffs(2, 4, 4))
     with pytest.raises(UsageError):
         list(iter_kernel_coeffs(2, 1, 2**6))
+    # One coefficient at resolution 13 would need 2**26 cell pairs.
+    with pytest.raises(ResourceLimitError):
+        kernel_walsh_coeff(2, 1, 2**12, 0)
 
 
 def test_coeff_table_symmetry_and_types():
@@ -277,4 +293,94 @@ def test_periodic_recursion_cross_check(b, k, l):
         coeff_strip * _periodic_coeff_reference(b, r - 1, k_stripped, l)
         + coeff_keep * _periodic_coeff_reference(b, r - 1, k, l)
     ) * Fraction(-1, b**c1)
-    assert periodic_bernoulli_walsh_coeff(b, r, k, l) == rhs
+    assert _periodic_coeff_reference(b, r, k, l) == rhs
+
+
+@pytest.mark.parametrize("b,alpha,g", [(2, 1, 3), (2, 3, 2), (3, 2, 2), (5, 1, 1)])
+def test_cell_matrix_symmetric_and_reproducing(b, alpha, g):
+    # K is symmetric, and integral K(x, y) dy = 1 makes every row of cell
+    # integrals sum to the cell width b**-g exactly.
+    den, nums = _cell_matrix(b, alpha, g)
+    assert (nums == nums.T).all()
+    for row in nums:
+        assert Fraction(sum(row), den) == Fraction(1, b**g)
+
+
+@pytest.mark.parametrize("b,g,alpha", [(2, 2, 1), (3, 1, 2)])
+def test_cell_matrix_equals_sympy_integrals(b, g, alpha):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def kernel(diff):
+        # K_alpha with |x - y| written as ``diff`` on one side of the diagonal.
+        poly = sum(
+            sympy.bernoulli(r, x) * sympy.bernoulli(r, y) / sympy.factorial(r) ** 2
+            for r in range(alpha + 1)
+        )
+        per = sympy.bernoulli(2 * alpha, diff) / sympy.factorial(2 * alpha)
+        return sympy.expand(poly + (-1) ** (alpha + 1) * per)
+
+    below, above = kernel(x - y), kernel(y - x)  # y < x and y > x
+    n = b**g
+    den, nums = _cell_matrix(b, alpha, g)
+    for tx in range(n):
+        x0, x1 = sympy.Rational(tx, n), sympy.Rational(tx + 1, n)
+        for ty in range(n):
+            y0, y1 = sympy.Rational(ty, n), sympy.Rational(ty + 1, n)
+            if tx > ty:
+                exact = sympy.integrate(below, (y, y0, y1), (x, x0, x1))
+            elif tx < ty:
+                exact = sympy.integrate(above, (y, y0, y1), (x, x0, x1))
+            else:
+                exact = sympy.integrate(
+                    sympy.integrate(below, (y, y0, x))
+                    + sympy.integrate(above, (y, x, y1)),
+                    (x, x0, x1),
+                )
+            assert Fraction(nums[tx, ty], den) == Fraction(str(exact)), (tx, ty)
+
+
+def test_transform_exact_beyond_fixed_limb_width():
+    # Class weights this large would overflow int64 sums of 40-bit limbs;
+    # the derived limb width must keep the transform exact.
+    b, alpha, g = 3, 2, 2
+    n = b**g
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 2**20, size=(b, 2, n))
+    cols = rng.integers(0, 2**20, size=(b, 3, n))
+    bound = int(rows.sum(axis=(0, 2)).max()) * int(cols.sum(axis=(0, 2)).max())
+    den, nums = _cell_matrix(b, alpha, g)
+    assert bound * int(np.abs(nums).max()) >= 2**63
+    assert bound * 2**40 >= 2**63
+    khat = _walsh_transform(b, alpha, g, rows, cols)
+    for i in range(2):
+        for j in range(3):
+            full = [0] * b
+            for a in range(b):
+                for c in range(b):
+                    full[(c - a) % b] += sum(
+                        int(rows[a, i, tx]) * nums[tx, ty] * int(cols[c, j, ty])
+                        for tx in range(n)
+                        for ty in range(n)
+                    )
+            want = Cyclotomic._from_length_b(b, [Fraction(v, den) for v in full])
+            assert khat(i, j) == want, (i, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    b=st.sampled_from((2, 3)),
+    alpha=st.sampled_from((1, 2, 3)),
+    data=st.data(),
+)
+def test_scan_conjugate_symmetric_and_sparse(b, alpha, data):
+    max_index = data.draw(st.integers(1, b**3), label="max_index")
+    table = {
+        (k, l): (ptype, value)
+        for k, l, ptype, value in iter_kernel_coeffs(b, alpha, max_index)
+    }
+    assert len(table) == max_index**2
+    for (k, l), ((p, q), value) in table.items():
+        assert table[l, k][1] == value.conjugate()
+        if p + q > 2 * alpha:
+            assert value.is_zero(), (k, l)
