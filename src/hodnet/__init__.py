@@ -32,7 +32,6 @@ from .matrices import (
 )
 from .points import (
     DigitPoint,
-    digital_point,
     interlace_digit_vectors,
     interlace_point,
     net_points,

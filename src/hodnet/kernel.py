@@ -12,7 +12,8 @@ equal-weight rule on points P is the kernel double sum over P divided by
 N**2, minus 1.
 
 ``kernel_1d`` is the one scalar definition of K_alpha: exact on Fractions
-and binary64 on floats.  ``wce`` evaluates it in vectorized binary64 with
+and binary64 on floats.  ``wce`` evaluates it in vectorized binary64 on the
+(n, dims) float array that ``points.net_values`` returns, with
 deterministic blockwise compensated summation (production), and
 ``wce_squared_exact`` sums it exactly over small point sets (roundoff
 oracle).  An independent route, ``dual_walsh_sum_exact``, sums exact Walsh
@@ -71,21 +72,6 @@ def kernel_1d(alpha: int, x, y):
     return acc + per if alpha % 2 else acc - per
 
 
-def _coords_array(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        return arr
-    rows = []
-    for pt in points:
-        if isinstance(pt, DigitPoint):
-            rows.append(pt.values())
-        else:
-            rows.append(tuple(float(v) for v in pt))
-    return np.array(rows, dtype=np.float64)
-
-
 def _kernel_matrix_1d(alpha: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.zeros((x.size, y.size))
     for r in range(alpha + 1):
@@ -98,31 +84,22 @@ def _kernel_matrix_1d(alpha: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out + per if alpha % 2 else out - per
 
 
-def wce(
-    spec: KernelSpec,
-    points,
-    threads: int = 1,
-    work_limit: int | None = None,
-) -> float:
+def wce(spec: KernelSpec, points: np.ndarray, threads: int = 1) -> float:
     """Worst-case quadrature error of an equal-weight rule on ``points``.
 
-    The kernel double sum runs over fixed row blocks whose partial sums are
+    ``points`` is the (n, dims) float array that ``net_values`` returns.  The
+    kernel double sum runs over fixed row blocks whose partial sums are
     combined with exact compensated summation in index order, so the result
     is identical for every thread count.
     """
-    xs = _coords_array(points)
+    xs = np.asarray(points, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != spec.dims:
+        raise UsageError(
+            f"points must form an (n, {spec.dims}) array, got shape {xs.shape}"
+        )
     n, dims = xs.shape
     if n < 1:
         raise UsageError("the point set must be nonempty")
-    if dims != spec.dims:
-        raise UsageError(
-            f"points have {dims} coordinates, kernel spec wants {spec.dims}"
-        )
-    if work_limit is not None and n * n * dims > work_limit:
-        raise ResourceLimitError(
-            f"kernel double sum needs {n * n * dims} evaluations, "
-            f"limit is {work_limit}"
-        )
 
     blocks = [(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS)]
 

@@ -2,8 +2,11 @@
 
 Points are exact base-b digit vectors: coordinate digits are the image of
 the index digits under the generating matrices, so prefix and interleaving
-identities can be tested digit for digit.  Conversion to floats happens only
-at evaluation boundaries (kernel sums, CSV output).
+identities can be tested digit for digit.  ``net_digits`` is the one
+index-to-digit map (uint8 digits, b <= MAX_BASE) and ``_digits_to_int`` the
+one exact digits-to-integer route: ``net_values`` divides its integers by
+b**rows once, and ``DigitPoint.fractions`` keeps them exact.  Conversion to
+floats happens only at evaluation boundaries (kernel sums, CSV output).
 """
 
 from __future__ import annotations
@@ -57,47 +60,51 @@ class DigitPoint:
     def fractions(self) -> tuple[Fraction, ...]:
         """Exact coordinate values, denominator base**precision."""
         den = self.base**self.precision
-        out = []
-        for coord in self.digits:
-            num = 0
-            for d in coord:
-                num = num * self.base + d
-            out.append(Fraction(num, den))
-        return tuple(out)
-
-    def values(self) -> tuple[float, ...]:
-        """Coordinates as correctly rounded binary64 floats."""
-        return tuple(float(f) for f in self.fractions())
+        nums = _digits_to_int(np.array(self.digits, dtype=np.uint8), self.base)
+        return tuple(Fraction(num, den) for num in nums.tolist())
 
 
-def digital_point(ms: GeneratingMatrixSet, h: int) -> DigitPoint:
-    """Point with index ``h`` of the digital net/sequence generated by ``ms``."""
-    if h < 0:
-        raise UsageError("point index must be nonnegative")
-    if h >= ms.base**ms.cols:
-        raise UsageError(
-            f"index {h} needs more than the {ms.cols} available digit columns"
-        )
-    eta = np.array(digits_of(h, ms.base, ms.cols), dtype=np.int64)
-    coords = tuple(
-        tuple(int(v) for v in (mat @ eta) % ms.base) for mat in ms.matrices
-    )
-    return DigitPoint(ms.base, coords)
+def _index_digits(base: int, m: int) -> np.ndarray:
+    """(b**m, m) uint8 array: row h holds the digits of h, least significant
+    first."""
+    h = np.arange(base**m, dtype=np.int64)[:, None]
+    return ((h // base ** np.arange(m, dtype=np.int64)) % base).astype(np.uint8)
+
+
+def _digits_to_int(digits: np.ndarray, base: int) -> np.ndarray:
+    """Exact integers of the digit vectors along the last axis, most
+    significant digit first, as an object array of Python ints.
+
+    Horner's rule runs vectorized in int64 over pieces of at most 62 bits;
+    a coordinate with more digits joins its pieces as Python ints.
+    """
+    rows = digits.shape[-1]
+    # The largest piece length L with base**L <= 2**62.
+    step = len(digits_of(1 << 62, base)) - 1
+    out = np.zeros(digits.shape[:-1], dtype=object)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        piece = np.zeros(digits.shape[:-1], dtype=np.int64)
+        for i in range(lo, hi):
+            piece *= base
+            piece += digits[..., i]
+        out *= base ** (hi - lo)
+        out += piece
+    return out
 
 
 def net_digits(ms: GeneratingMatrixSet, m: int) -> np.ndarray:
-    """Digit array of the first b**m points, shape (b**m, dims, rows)."""
+    """Digit array of the first b**m points, shape (b**m, dims, rows), uint8.
+
+    Row h is the image of the m index digits of h under the first m columns
+    of each matrix; the remaining columns meet only zero digits.
+    """
     if m < 0 or m > ms.cols:
         raise UsageError(f"m must lie in [0, {ms.cols}]")
-    n_points = ms.base**m
-    eta = np.zeros((n_points, ms.cols), dtype=np.int64)
-    rem = np.arange(n_points, dtype=np.int64)
-    for i in range(m):
-        eta[:, i] = rem % ms.base
-        rem //= ms.base
-    out = np.zeros((n_points, ms.dims, ms.rows), dtype=np.int64)
+    eta = _index_digits(ms.base, m)
+    out = np.empty((ms.base**m, ms.dims, ms.rows), dtype=np.uint8)
     for j, mat in enumerate(ms.matrices):
-        out[:, j, :] = (eta @ mat.T) % ms.base
+        out[:, j, :] = (eta @ mat[:, :m].T) % ms.base
     return out
 
 
@@ -107,10 +114,9 @@ def net_points(ms: GeneratingMatrixSet, m: int) -> list[DigitPoint]:
     Because index digits beyond position m are zero, the first b**m' entries
     for m' < m coincide exactly with ``net_points(ms, m')``.
     """
-    arr = net_digits(ms, m)
     return [
-        DigitPoint(ms.base, tuple(tuple(int(d) for d in coord) for coord in pt))
-        for pt in arr
+        DigitPoint(ms.base, tuple(map(tuple, pt)))
+        for pt in net_digits(ms, m).tolist()
     ]
 
 
@@ -118,21 +124,10 @@ def net_values(ms: GeneratingMatrixSet, m: int) -> np.ndarray:
     """Float coordinates of the first b**m points, shape (b**m, dims).
 
     Each value is the exact truncated rational of the digit vector, rounded
-    once to binary64.
+    once to binary64: Python int / int division rounds correctly.
     """
-    arr = net_digits(ms, m)
-    n_points, dims, rows = arr.shape
-    den = ms.base**rows
-    out = np.empty((n_points, dims), dtype=np.float64)
-    for h in range(n_points):
-        for j in range(dims):
-            num = 0
-            for d in arr[h, j]:
-                num = num * ms.base + int(d)
-            # Python int/int division rounds correctly, so this is the
-            # nearest binary64 to the exact truncated rational.
-            out[h, j] = num / den
-    return out
+    nums = _digits_to_int(net_digits(ms, m), ms.base)
+    return (nums / ms.base**ms.rows).astype(np.float64)
 
 
 def interlace_digit_vectors(
@@ -178,19 +173,32 @@ def format_points_csv(ms: GeneratingMatrixSet, m: int) -> str:
     value b**-rows, so every value parses back to the same float.
     """
     decimals = math.ceil(ms.rows * math.log10(ms.base)) + 17
+    row = ",".join([f"%.{decimals}f"] * ms.dims)
     lines = [_gen_header(ms, m)]
-    for pt in net_values(ms, m).tolist():
-        lines.append(",".join(f"{v:.{decimals}f}" for v in pt))
+    lines.extend(row % tuple(pt) for pt in net_values(ms, m).tolist())
     return "\n".join(lines) + "\n"
+
+
+# Digit characters: 0-9, then a-z, the alphabet int(text, base) reads.
+_DIGIT_CHARS = np.frombuffer(b"0123456789abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
 
 
 def format_points_digits(ms: GeneratingMatrixSet, m: int) -> str:
-    """Digit-string output: coordinates as base-b strings, '|'-separated."""
+    """Digit-string output: coordinates as base-b strings, '|'-separated.
+
+    Digits 10-35 print as a-z, so bases above 36 have no digit format.
+    """
+    if ms.base > len(_DIGIT_CHARS):
+        raise UsageError(
+            f"the digits format needs base <= {len(_DIGIT_CHARS)}, got {ms.base}"
+        )
     arr = net_digits(ms, m)
-    lines = [_gen_header(ms, m)]
-    for pt in arr:
-        lines.append("|".join("".join(str(int(d)) for d in coord) for coord in pt))
-    return "\n".join(lines) + "\n"
+    n_points, dims, rows = arr.shape
+    chars = np.empty((n_points, dims, rows + 1), dtype=np.uint8)
+    chars[..., :rows] = _DIGIT_CHARS[arr]
+    chars[..., rows] = ord("|")
+    chars[:, -1, rows] = ord("\n")
+    return _gen_header(ms, m) + "\n" + chars.tobytes().decode("ascii")
 
 
 def _gen_header(ms: GeneratingMatrixSet, m: int) -> str:

@@ -39,6 +39,7 @@ from .bernoulli import bernoulli, bernoulli_coeffs
 from .cyclotomic import Cyclotomic
 from .errors import ResourceLimitError, UsageError
 from .gf import digits_of
+from .points import _index_digits
 from .quality import DEFAULT_WORK_LIMIT, dick_weight, nonzero_digit_terms
 
 # Exact scans grow like b**(2 c1); these caps keep the cyclotomic arithmetic
@@ -85,10 +86,11 @@ def pair_type(base: int, k: int, l: int) -> tuple[int, int]:
     The result is unique and satisfies v - p = w - q for v, w the nonzero
     digit counts.
     """
-    if k == l:
-        return (0, 0)
-    tk = nonzero_digit_terms(k, base)
-    tl = nonzero_digit_terms(l, base)
+    return _strip_depths(nonzero_digit_terms(k, base), nonzero_digit_terms(l, base))
+
+
+def _strip_depths(tk: tuple, tl: tuple) -> tuple[int, int]:
+    """Pair type from the nonzero digit terms of both indices."""
     shared = 0
     while (
         shared < len(tk)
@@ -107,8 +109,7 @@ def pair_type(base: int, k: int, l: int) -> tuple[int, int]:
 @lru_cache(maxsize=64)
 def _msb_digit_matrix(base: int, g: int) -> np.ndarray:
     """(b**g, g) array: row t holds the digits of t, most significant first."""
-    t = np.arange(base**g, dtype=np.int64)[:, None]
-    return (t // base ** np.arange(g - 1, -1, -1, dtype=np.int64)) % base
+    return _index_digits(base, g)[:, ::-1].astype(np.int64)
 
 
 def _char_exponents(base: int, g: int, k: int) -> np.ndarray:
@@ -294,8 +295,10 @@ def _walsh_transform(
     sums = total.tolist()
 
     def value(i: int, j: int) -> Cyclotomic:
-        return Cyclotomic._from_length_b(
-            base, [Fraction(sums[e][i][j], den) for e in range(base)]
+        # Reduce modulo 1 + w + ... + w**(b-1) = 0 on the integer numerators.
+        last = sums[base - 1][i][j]
+        return Cyclotomic(
+            base, [Fraction(sums[e][i][j] - last, den) for e in range(base - 1)]
         )
 
     return value
@@ -405,9 +408,10 @@ def iter_kernel_coeffs(
     g = len(digits_of(max_index - 1, base))
     masks = _class_masks(base, _exponent_matrix(base, g)[:max_index])
     khat = _walsh_transform(base, alpha, g, masks, masks)
+    terms = [nonzero_digit_terms(k, base) for k in range(max_index)]
     for k in range(max_index):
         for l in range(max_index):
-            p, q = pair_type(base, k, l)
+            p, q = _strip_depths(terms[k], terms[l])
             if pair_filter is None or pair_filter(k, l, p, q):
                 yield (k, l, (p, q), khat(k, l))
 

@@ -61,6 +61,35 @@ def test_work_limit_exits_3(tmp_path):
     assert main(["wce", "--m", "6", "--work-limit", "100", "--out", out]) == 3
 
 
+def test_wce_work_limit_exits_3(tmp_path):
+    # m=4 in one dimension needs 16 * 16 = 256 kernel evaluations.
+    out = str(tmp_path / "x")
+    assert main(["wce", "--m", "4", "--work-limit", "10", "--out", out]) == 3
+    assert main(["wce", "--m", "4", "--work-limit", "255", "--out", out]) == 3
+    assert main(["wce", "--m", "4", "--work-limit", "256", "--out", out]) == 0
+
+
+def test_gen_digits_above_base_10_parse_back(tmp_path):
+    # Digits 10 and up print as letters, so int(text, 11) reads each
+    # coordinate back; "100" for the digits (10, 0) was ambiguous.
+    text = _run(
+        tmp_path, "d.txt",
+        "gen", "--base", "11", "--dims", "1", "--m", "2", "--order", "1",
+        "--format", "digits",
+    )
+    lines = text.splitlines()[1:]
+    assert len(lines) == 121
+    assert all(len(line) == 2 for line in lines)
+    assert sorted(int(line, 11) for line in lines) == list(range(121))
+    assert "a0" in lines
+
+
+def test_gen_digits_above_base_36_exits_2(tmp_path):
+    argv = ["gen", "--base", "37", "--m", "1", "--format", "digits"]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert main(["gen", "--base", "37", "--m", "1", "--out", str(tmp_path / "y")]) == 0
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -102,9 +102,10 @@ def test_wce_single_point_fixtures():
     assert wce_squared_exact(spec, [p0]) == Fraction(1, 3)
     assert wce_squared_exact(spec, [ph]) == Fraction(1, 12)
     assert wce_squared_exact(spec, [p0, ph]) == Fraction(1, 12)
-    assert wce(spec, [p0]) ** 2 == pytest.approx(1 / 3, abs=1e-12)
-    assert wce(spec, [ph]) ** 2 == pytest.approx(1 / 12, abs=1e-12)
-    assert wce(spec, [p0, ph]) ** 2 == pytest.approx(1 / 12, abs=1e-12)
+    assert wce(spec, np.array([[0.0]])) ** 2 == pytest.approx(1 / 3, abs=1e-12)
+    assert wce(spec, np.array([[0.5]])) ** 2 == pytest.approx(1 / 12, abs=1e-12)
+    both = np.array([[0.0], [0.5]])
+    assert wce(spec, both) ** 2 == pytest.approx(1 / 12, abs=1e-12)
 
 
 def test_wce_float_matches_exact_on_nets():
@@ -133,12 +134,6 @@ def test_wce_tensor_product_relation():
     ex = wce_squared_exact(spec1, [DigitPoint(2, ((1,),))])
     ey = wce_squared_exact(spec1, [DigitPoint(2, ((0, 1),))])
     assert 1 + e2_2d == (1 + ex) * (1 + ey)
-
-
-def test_wce_work_limit():
-    ms = build_matrices(2, 1, 4, order=1)
-    with pytest.raises(ResourceLimitError):
-        wce(KernelSpec(1, 1), net_values(ms, 4), work_limit=10)
 
 
 def test_wce_dimension_mismatch():

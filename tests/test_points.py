@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodnet.errors import UsageError
 from hodnet.matrices import build_matrices, niederreiter_set
 from hodnet.points import (
     DigitPoint,
-    digital_point,
     format_points_csv,
     format_points_digits,
     interlace_digit_vectors,
     interlace_point,
+    net_digits,
     net_points,
     net_values,
 )
@@ -23,17 +25,19 @@ def vdc(m):
     return niederreiter_set(2, 1, m, m)
 
 
-def test_digital_point_examples():
-    ms = vdc(4)
-    assert digital_point(ms, 2).digits == ((0, 1, 0, 0),)
-    assert digital_point(ms, 3).fractions() == (Fraction(3, 4),)
-    assert digital_point(ms, 0).fractions() == (Fraction(0),)
+def test_net_points_index_examples():
+    pts = net_points(vdc(4), 4)
+    assert pts[2].digits == ((0, 1, 0, 0),)
+    assert pts[3].fractions() == (Fraction(3, 4),)
+    assert pts[0].fractions() == (Fraction(0),)
 
 
-def test_digital_point_index_bound():
+def test_net_points_index_bound():
+    # Two digit columns index exactly the first 4 points.
     ms = vdc(2)
+    assert len(net_points(ms, 2)) == 4
     with pytest.raises(UsageError):
-        digital_point(ms, 4)
+        net_points(ms, 3)
 
 
 def test_net_points_order_base2():
@@ -58,9 +62,7 @@ def test_prefix_property_through_m8():
 def test_extensible_in_dimension():
     big = build_matrices(2, 3, 4, order=2)
     small = build_matrices(2, 2, 4, order=2)
-    for h in range(16):
-        a = digital_point(big, h)
-        c = digital_point(small, h)
+    for a, c in zip(net_points(big, 4), net_points(small, 4), strict=True):
         assert a.digits[:2] == c.digits
 
 
@@ -90,10 +92,8 @@ def test_matrix_vs_point_interlacing_small():
     b, d, s, m = 2, 2, 1, 4
     src = niederreiter_set(b, d * s, m, m)
     msd = interlace_matrix_set(src, d, s, d * m, m)
-    for h in range(b**m):
-        direct = digital_point(msd, h)
-        merged = interlace_point(digital_point(src, h), d)
-        assert direct.digits == merged.digits
+    for direct, pt in zip(net_points(msd, m), net_points(src, m), strict=True):
+        assert direct.digits == interlace_point(pt, d).digits
 
 
 def test_net_values_match_fractions():
@@ -135,3 +135,62 @@ def test_csv_round_trips_to_net_values(base, dims, m, order):
     lines = format_points_csv(ms, m).splitlines()[1:]
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
     assert np.array_equal(parsed, net_values(ms, m))
+
+
+def _horner(digits, base):
+    num = 0
+    for d in digits:
+        num = num * base + d
+    return num
+
+
+def _assert_values_are_rounded_horner(ms, m):
+    # Reference: a Python-int Horner over the digits of ``net_points``,
+    # divided with /, which rounds correctly.  fractions() is checked on
+    # about 500 evenly spaced points to keep large nets fast.
+    den = ms.base**ms.rows
+    pts = net_points(ms, m)
+    nums = [[_horner(coord, ms.base) for coord in pt.digits] for pt in pts]
+    assert net_values(ms, m).tolist() == [[n / den for n in row] for row in nums]
+    step = max(1, len(pts) // 500)
+    for pt, row in zip(pts[::step], nums[::step]):
+        assert pt.fractions() == tuple(Fraction(n, den) for n in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    base=st.sampled_from([2, 3, 5, 7]),
+    dims=st.integers(1, 2),
+    order=st.integers(1, 5),
+    data=st.data(),
+)
+def test_net_values_equal_python_horner(base, dims, order, data):
+    m = data.draw(st.integers(1, {2: 7, 3: 4, 5: 3, 7: 2}[base]))
+    _assert_values_are_rounded_horner(build_matrices(base, dims, m, order=order), m)
+
+
+@pytest.mark.parametrize(
+    "base,dims,m,order",
+    # One int64 piece holds 62 base-2 or 39 base-3 digits: the first two
+    # nets need one piece, the others two.
+    [(2, 2, 6, 3), (3, 2, 3, 3), (2, 1, 10, 7), (2, 1, 16, 5), (3, 1, 9, 7)],
+)
+def test_net_values_across_int64_pieces(base, dims, m, order):
+    _assert_values_are_rounded_horner(build_matrices(base, dims, m, order=order), m)
+
+
+def test_net_digits_are_uint8():
+    arr = net_digits(build_matrices(3, 2, 4, order=2), 4)
+    assert arr.dtype == np.uint8
+    assert arr.shape == (81, 2, 8)
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_digits_format_equals_per_digit_str(base):
+    ms = build_matrices(base, 2, 3, order=2)
+    lines = format_points_digits(ms, 3).splitlines()[1:]
+    want = [
+        "|".join("".join(str(d) for d in coord) for coord in pt.digits)
+        for pt in net_points(ms, 3)
+    ]
+    assert lines == want

@@ -190,6 +190,22 @@ def test_batch_engine_matches_per_pair():
             assert value == kernel_walsh_coeff(b, alpha, k, l), (b, alpha, k, l)
 
 
+@pytest.mark.parametrize("b,kmax", [(2, 32), (3, 81)])
+def test_scan_pair_types_equal_pair_type(b, kmax):
+    # The scan expands each index once; every pair must still get the type
+    # that pair_type computes from scratch.
+    seen = []
+
+    def record(k, l, p, q):
+        seen.append(((k, l), (p, q)))
+        return False
+
+    assert list(iter_kernel_coeffs(b, 1, kmax, pair_filter=record)) == []
+    assert seen == [
+        ((k, l), pair_type(b, k, l)) for k in range(kmax) for l in range(kmax)
+    ]
+
+
 def test_scan_caps():
     with pytest.raises(UsageError):
         list(iter_kernel_coeffs(2, 4, 4))
