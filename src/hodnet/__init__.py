@@ -14,8 +14,6 @@ from .gf import (
     Poly,
     PrimeField,
     digits_of,
-    digitwise_add,
-    digitwise_sub,
     laurent_coeffs,
     monic_irreducibles,
 )
@@ -31,14 +29,10 @@ from .matrices import (
     t_value_bound,
 )
 from .points import (
-    DigitPoint,
-    interlace_digit_vectors,
-    interlace_point,
     net_points,
     net_values,
 )
 from .quality import (
-    DualIndex,
     NetCertificate,
     certify_net,
     dick_weight,
@@ -54,11 +48,8 @@ from .walsh import (
     count_type_pairs,
     decay_ratio_sup,
     kernel_walsh_coeff,
-    kernel_walsh_coeff_vec,
     pair_type,
     sparsity_violations,
-    walsh_exponent,
-    walsh_point_exponent,
 )
 from .kernel import (
     KernelSpec,

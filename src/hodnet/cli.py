@@ -25,7 +25,12 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import NumericalConsistencyError, ResourceLimitError, UsageError
 from .kernel import KernelSpec, wce
-from .matrices import build_matrices, load_matrix_set, t_value_bound
+from .matrices import (
+    GeneratingMatrixSet,
+    build_matrices,
+    load_matrix_set,
+    t_value_bound,
+)
 from .points import format_points_csv, format_points_digits, net_values
 from .quality import (
     DEFAULT_WORK_LIMIT,
@@ -81,10 +86,19 @@ class ExperimentConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise UsageError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if value is None and defaults[name] is None:
+                continue
+            kind = str if name in ("construction", "out") else int
+            # type() rather than isinstance(): JSON true is not an int here.
+            if type(value) is not kind:
+                raise UsageError(
+                    f"config field {name!r} must be {kind.__name__}, got {value!r}"
+                )
         return cls(**data)
 
     def as_dict(self) -> dict:
@@ -144,14 +158,17 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _matrices_from_args(args) -> tuple:
+def _matrices_from_args(args) -> GeneratingMatrixSet:
     if getattr(args, "matrices", None):
         ms = load_matrix_set(args.matrices)
         if ms.cols < args.m:
             raise UsageError(
                 f"matrix file provides {ms.cols} columns, need {args.m}"
             )
-        return ms
+        # The net of b**m points reads only the first m columns; the dual
+        # analysis must not see the others.
+        mats = [mat[:, : args.m] for mat in ms.matrices]
+        return GeneratingMatrixSet(ms.base, mats, ms.provenance)
     return build_matrices(args.base, args.dims, args.m, order=args.order)
 
 
@@ -210,8 +227,10 @@ def _cmd_dual(args) -> int:
     header = ",".join(f"k{j + 1}" for j in range(args.dims))
     lines.append(f"{header},mu1,mu_alpha")
     for dv in duals:
-        comps = ",".join(str(c) for c in dv.components)
-        lines.append(f"{comps},{dv.mu1},{dv.mu(args.alpha)}")
+        comps = ",".join(str(c) for c in dv)
+        mu1 = dick_weight(ms.base, 1, dv)
+        mu_alpha = dick_weight(ms.base, args.alpha, dv)
+        lines.append(f"{comps},{mu1},{mu_alpha}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

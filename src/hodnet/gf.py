@@ -5,10 +5,9 @@ instance carries the modulus and provides the operations.  Polynomials are
 immutable coefficient tuples, lowest degree first, with the zero polynomial
 represented by the empty tuple.
 
-The module also provides the digitwise (carry-free) integer operations on
-base-b digit strings, the canonical enumeration of monic irreducible
-polynomials, and the reciprocal-series coefficients that seed the sequence
-construction in :mod:`hodnet.matrices`.
+The module also provides base-b digit expansion, the canonical enumeration
+of monic irreducible polynomials, and the reciprocal-series coefficients
+that seed the sequence construction in :mod:`hodnet.matrices`.
 """
 
 from __future__ import annotations
@@ -104,30 +103,6 @@ def digits_of(k: int, base: int, count: int | None = None) -> list[int]:
         else:
             out = out[:count]
     return out
-
-
-def int_from_digits(digits: Sequence[int], base: int) -> int:
-    """Inverse of :func:`digits_of` (least significant digit first)."""
-    value = 0
-    for d in reversed(digits):
-        value = value * base + d
-    return value
-
-
-def digitwise_add(j: int, k: int, base: int) -> int:
-    """Carry-free digitwise sum of two nonnegative integers in base b."""
-    n = max(len(digits_of(j, base)), len(digits_of(k, base)))
-    dj = digits_of(j, base, n)
-    dk = digits_of(k, base, n)
-    return int_from_digits([(a + c) % base for a, c in zip(dj, dk)], base)
-
-
-def digitwise_sub(j: int, k: int, base: int) -> int:
-    """Carry-free digitwise difference of two nonnegative integers in base b."""
-    n = max(len(digits_of(j, base)), len(digits_of(k, base)))
-    dj = digits_of(j, base, n)
-    dk = digits_of(k, base, n)
-    return int_from_digits([(a - c) % base for a, c in zip(dj, dk)], base)
 
 
 class Poly:

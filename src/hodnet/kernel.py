@@ -12,15 +12,11 @@ equal-weight rule on points P is the kernel double sum over P divided by
 N**2, minus 1.
 
 ``kernel_1d`` is the one scalar definition of K_alpha: exact on Fractions
-and binary64 on floats.  ``wce`` evaluates it in vectorized binary64 on the
-(n, dims) float array that ``points.net_values`` returns, with
-deterministic blockwise compensated summation (production), and
-``wce_squared_exact`` sums it exactly over small point sets (roundoff
-oracle).  An independent route, ``dual_walsh_sum_exact``, sums exact Walsh
-coefficients of the kernel over the truncated dual net: in one dimension as
-a single Walsh transform of the exact cell matrix ``walsh._cell_matrix``
-weighted by the dual set's class counts (production), in more dimensions
-pair by pair through ``kernel_walsh_coeff_vec``.
+and binary64 on floats.  One production path and one oracle read it:
+``wce`` evaluates it in vectorized binary64 on the (n, dims) float array
+that ``points.net_values`` returns, with deterministic blockwise
+compensated summation, and ``wce_squared_exact`` sums it exactly over the
+Fraction coordinates of ``points.net_points`` (the roundoff oracle).
 """
 
 from __future__ import annotations
@@ -33,17 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bernoulli import bernoulli, bernoulli_float_coeffs
-from .cyclotomic import Cyclotomic
-from .errors import NumericalConsistencyError, ResourceLimitError, UsageError
-from .matrices import GeneratingMatrixSet
-from .points import DigitPoint
-from .quality import DEFAULT_WORK_LIMIT, dual_indices
-from .walsh import (
-    _class_masks,
-    _exponent_matrix,
-    _walsh_transform,
-    kernel_walsh_coeff_vec,
-)
+from .errors import NumericalConsistencyError, UsageError
 
 # Squared errors this far below zero indicate real trouble, not roundoff.
 WCE_NEGATIVE_TOLERANCE = 1e-9
@@ -128,14 +114,10 @@ def wce_squared_exact(spec: KernelSpec, points) -> Fraction:
     """Exact-rational squared worst-case error; the roundoff oracle.
 
     Intended for small sets (the double loop is quadratic with exact
-    arithmetic); coordinates must be exact rationals or digit points.
+    arithmetic); coordinates must be exact rationals, as ``net_points``
+    returns them.
     """
-    coords: list[tuple[Fraction, ...]] = []
-    for pt in points:
-        if isinstance(pt, DigitPoint):
-            coords.append(pt.fractions())
-        else:
-            coords.append(tuple(Fraction(v) for v in pt))
+    coords = [tuple(Fraction(v) for v in pt) for pt in points]
     n = len(coords)
     if n < 1:
         raise UsageError("the point set must be nonempty")
@@ -149,64 +131,3 @@ def wce_squared_exact(spec: KernelSpec, points) -> Fraction:
                 term *= kernel_1d(spec.alpha, a[j], c[j])
             total += term
     return total / n**2 - 1
-
-
-# ---------------------------------------------------------------------------
-# Dual-space route
-# ---------------------------------------------------------------------------
-
-
-def dual_walsh_sum_exact(
-    spec: KernelSpec,
-    ms: GeneratingMatrixSet,
-    m: int,
-    mu1_cutoff: int,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-) -> Cyclotomic:
-    """Exact sum of kernel Walsh coefficients over the truncated dual net.
-
-    Sums khat over all pairs of nonzero dual vectors with weight-1 metric at
-    most the cutoff.  In one dimension the sum is aggregated through
-    bilinearity: the class counts of all dual indices weight one Walsh
-    transform of the cell matrix at resolution cutoff, whose b**(2 cutoff)
-    cell pairs are charged against ``work_limit`` (values agree with the
-    pairwise route, which remains as the oracle for small cases).
-    """
-    if m < 1 or m > ms.cols:
-        raise UsageError(f"m must lie in [1, {ms.cols}]")
-    duals = dual_indices(ms, mu1_cutoff, work_limit)
-    base = ms.base
-    if not duals:
-        return Cyclotomic.zero(base)
-    if spec.dims != ms.dims:
-        raise UsageError("kernel spec and matrix set dimensions differ")
-    if spec.dims == 1:
-        if base ** (2 * mu1_cutoff) > work_limit:
-            raise ResourceLimitError(
-                f"{base ** (2 * mu1_cutoff)} cell pairs at resolution "
-                f"{mu1_cutoff} exceed the work limit {work_limit}"
-            )
-        return _dual_sum_aggregated(
-            base, spec.alpha, [d.components[0] for d in duals], mu1_cutoff
-        )
-    if len(duals) ** 2 > work_limit:
-        raise ResourceLimitError(
-            f"{len(duals)}**2 dual pairs exceed the work limit {work_limit}"
-        )
-    acc = Cyclotomic.zero(base)
-    for da in duals:
-        for db in duals:
-            acc = acc + kernel_walsh_coeff_vec(
-                base, spec.alpha, da.components, db.components
-            )
-    return acc
-
-
-def _dual_sum_aggregated(
-    base: int, alpha: int, ks: list[int], cutoff: int
-) -> Cyclotomic:
-    # sum_{k, l} khat(k, l) is the cell-matrix bilinear form weighted on both
-    # sides by the class counts #{k : e_k(t) = e} at resolution cutoff.
-    counts = _class_masks(base, _exponent_matrix(base, cutoff)[ks])
-    counts = counts.sum(axis=1, keepdims=True)
-    return _walsh_transform(base, alpha, cutoff, counts, counts)(0, 0)

@@ -8,7 +8,6 @@ a plain-text matrix file format for importing externally supplied matrices.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,8 +240,3 @@ def load_matrix_set(path_or_file) -> GeneratingMatrixSet:
         mats.append(block)
     return GeneratingMatrixSet(base, mats, Provenance("explicit"))
 
-
-def matrix_set_to_text(ms: GeneratingMatrixSet) -> str:
-    buf = io.StringIO()
-    save_matrix_set(ms, buf)
-    return buf.getvalue()

@@ -5,63 +5,20 @@ the index digits under the generating matrices, so prefix and interleaving
 identities can be tested digit for digit.  ``net_digits`` is the one
 index-to-digit map (uint8 digits, b <= MAX_BASE) and ``_digits_to_int`` the
 one exact digits-to-integer route: ``net_values`` divides its integers by
-b**rows once, and ``DigitPoint.fractions`` keeps them exact.  Conversion to
-floats happens only at evaluation boundaries (kernel sums, CSV output).
+b**rows once, and ``net_points`` keeps them exact as Fractions.  Conversion
+to floats happens only at evaluation boundaries (kernel sums, CSV output).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import UsageError
 from .gf import digits_of
 from .matrices import GeneratingMatrixSet
-
-
-@dataclass(frozen=True)
-class DigitPoint:
-    """A point of [0,1)^s stored as exact digit vectors.
-
-    ``digits[j]`` holds the digits of coordinate j+1, most significant first,
-    so coordinate value = sum(digits[j][i] * base**-(i+1)).  Coordinates
-    given with fewer digits are zero-padded to the longest precision, which
-    leaves their values unchanged.
-    """
-
-    base: int
-    digits: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.digits:
-            raise UsageError("a point needs at least one coordinate")
-        prec = max(len(coord) for coord in self.digits)
-        for coord in self.digits:
-            if any(not 0 <= d < self.base for d in coord):
-                raise UsageError(f"digits must lie in [0, {self.base})")
-        if any(len(coord) != prec for coord in self.digits):
-            padded = tuple(
-                tuple(coord) + (0,) * (prec - len(coord)) for coord in self.digits
-            )
-            object.__setattr__(self, "digits", padded)
-
-    @property
-    def dims(self) -> int:
-        return len(self.digits)
-
-    @property
-    def precision(self) -> int:
-        return len(self.digits[0])
-
-    def fractions(self) -> tuple[Fraction, ...]:
-        """Exact coordinate values, denominator base**precision."""
-        den = self.base**self.precision
-        nums = _digits_to_int(np.array(self.digits, dtype=np.uint8), self.base)
-        return tuple(Fraction(num, den) for num in nums.tolist())
 
 
 def _index_digits(base: int, m: int) -> np.ndarray:
@@ -108,16 +65,16 @@ def net_digits(ms: GeneratingMatrixSet, m: int) -> np.ndarray:
     return out
 
 
-def net_points(ms: GeneratingMatrixSet, m: int) -> list[DigitPoint]:
-    """The first b**m points in index order.
+def net_points(ms: GeneratingMatrixSet, m: int) -> list[tuple[Fraction, ...]]:
+    """Exact coordinates of the first b**m points in index order, each its
+    digit integer over b**rows (the input of the exact wce oracle).
 
     Because index digits beyond position m are zero, the first b**m' entries
     for m' < m coincide exactly with ``net_points(ms, m')``.
     """
-    return [
-        DigitPoint(ms.base, tuple(map(tuple, pt)))
-        for pt in net_digits(ms, m).tolist()
-    ]
+    den = ms.base**ms.rows
+    nums = _digits_to_int(net_digits(ms, m), ms.base)
+    return [tuple(Fraction(num, den) for num in pt) for pt in nums.tolist()]
 
 
 def net_values(ms: GeneratingMatrixSet, m: int) -> np.ndarray:
@@ -128,41 +85,6 @@ def net_values(ms: GeneratingMatrixSet, m: int) -> np.ndarray:
     """
     nums = _digits_to_int(net_digits(ms, m), ms.base)
     return (nums / ms.base**ms.rows).astype(np.float64)
-
-
-def interlace_digit_vectors(
-    vectors: Sequence[Sequence[int]], factor: int
-) -> tuple[int, ...]:
-    """Round-robin merge of ``factor`` digit vectors into one.
-
-    Output position factor*(i-1)+j (1-based) is digit i of input j; the
-    output precision is factor times the shared input precision.
-    """
-    if factor < 1:
-        raise UsageError("interlace factor must be positive")
-    if len(vectors) != factor:
-        raise UsageError(f"expected {factor} digit vectors, got {len(vectors)}")
-    prec = len(vectors[0])
-    if any(len(v) != prec for v in vectors):
-        raise UsageError("digit vectors must share one precision")
-    out = []
-    for i in range(prec):
-        for v in vectors:
-            out.append(v[i])
-    return tuple(out)
-
-
-def interlace_point(point: DigitPoint, factor: int) -> DigitPoint:
-    """Blockwise digit interleaving of a point with factor*s coordinates."""
-    if point.dims % factor:
-        raise UsageError(
-            f"point has {point.dims} coordinates, not a multiple of {factor}"
-        )
-    coords = []
-    for j in range(point.dims // factor):
-        block = point.digits[factor * j : factor * (j + 1)]
-        coords.append(interlace_digit_vectors(block, factor))
-    return DigitPoint(point.base, tuple(coords))
 
 
 def format_points_csv(ms: GeneratingMatrixSet, m: int) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -53,31 +53,6 @@ def dick_weight(base: int, alpha: int, k) -> int:
         terms = nonzero_digit_terms(int(k), base)
         return sum(c for _, c in terms[:alpha])
     return sum(dick_weight(base, alpha, int(kj)) for kj in k)
-
-
-@dataclass(frozen=True)
-class DualIndex:
-    """A dual-net vector with its cached digit expansions."""
-
-    base: int
-    components: tuple[int, ...]
-    expansions: tuple[tuple[tuple[int, int], ...], ...]
-
-    @classmethod
-    def from_components(cls, base: int, components: Sequence[int]) -> "DualIndex":
-        comps = tuple(int(c) for c in components)
-        return cls(base, comps, tuple(nonzero_digit_terms(c, base) for c in comps))
-
-    def mu(self, alpha: int) -> int:
-        if alpha < 1:
-            raise UsageError("alpha must be positive")
-        return sum(
-            sum(c for _, c in terms[:alpha]) for terms in self.expansions
-        )
-
-    @property
-    def mu1(self) -> int:
-        return self.mu(1)
 
 
 class _WorkCounter:
@@ -171,20 +146,19 @@ def dual_indices(
     ms: GeneratingMatrixSet,
     mu1_max: int,
     work_limit: int = DEFAULT_WORK_LIMIT,
-) -> list[DualIndex]:
+) -> list[tuple[int, ...]]:
     """All nonzero dual vectors with weight-1 metric at most ``mu1_max``.
 
-    Output in ascending (mu1, components) order; raises
+    Component tuples in ascending (mu1, components) order; raises
     :class:`ResourceLimitError` when the candidate count passes the limit.
     """
     if mu1_max < 0:
         raise UsageError("mu1_max must be nonnegative")
     rows = _syndrome_rows(ms)
     work = _WorkCounter(work_limit)
-    out: list[DualIndex] = []
+    out: list[tuple[int, ...]] = []
     for weight in range(1, mu1_max + 1):
-        shell = sorted(_iter_shell_vectors(ms, weight, rows, work))
-        out.extend(DualIndex.from_components(ms.base, v) for v in shell)
+        out.extend(sorted(_iter_shell_vectors(ms, weight, rows, work)))
     return out
 
 
@@ -413,8 +387,6 @@ def interpolation_gap(base: int, alpha: int, k) -> Fraction:
     """
     if alpha < 2:
         raise UsageError("the interpolation bound requires alpha >= 2")
-    if isinstance(k, DualIndex):
-        k = k.components
     a = Fraction(alpha - 1, 2 * alpha)
     b = Fraction(alpha + 1, 2 * alpha)
     mu_a = dick_weight(base, alpha, k)

@@ -2,9 +2,9 @@
 
 A Walsh function is piecewise constant on base-b cells, so integrals of
 polynomials against Walsh functions reduce to exact rational sums over
-cells, with values in the cyclotomic field Q(w_b).  This module evaluates
-Walsh functions, classifies index pairs by how many leading digit terms
-must be stripped before the tails agree, computes the kernel coefficients
+cells, with values in the cyclotomic field Q(w_b).  This module classifies
+index pairs by how many leading digit terms must be stripped before the
+tails agree, computes the kernel coefficients
 
     khat_alpha(k, l) = sum_{r<=alpha} bhat_r(k) * conj(bhat_r(l))
                        + (-1)**(alpha+1) * bhat_per_{2 alpha}(k, l)
@@ -18,19 +18,19 @@ every coefficient from it,
     khat(k, l) = sum_{tx, ty} w**(e_l(ty) - e_k(tx)) * I[tx, ty],
 
 in exact int64 limb arithmetic.  ``iter_kernel_coeffs`` (every pair of a
-scan), ``kernel_walsh_coeff`` (one pair) and the one-dimensional dual sum in
-``kernel`` all call it.  Oracle: ``bernoulli_walsh_coeff`` and
-``_periodic_coeff_reference`` integrate one pair at a time in Fractions;
-the reference reads the offset table ``_periodic_offset_integrals`` of
-Bper_r(x - y) (any degree r >= 2, equal to B_r(|x - y|) for even r), which
-the cell matrix shares.
+scan) and ``kernel_walsh_coeff`` (one pair) both call it; a multivariate
+coefficient is the product of one-dimensional ones.  Oracle:
+``bernoulli_walsh_coeff`` and ``_periodic_coeff_reference`` integrate one
+pair at a time in Fractions; the reference reads the offset table
+``_periodic_offset_integrals`` of Bper_r(x - y) (any degree r >= 2, equal
+to B_r(|x - y|) for even r), which the cell matrix shares.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -49,33 +49,8 @@ MAX_SCAN_ALPHA = 3
 
 
 # ---------------------------------------------------------------------------
-# Walsh function evaluation and pair types
+# Pair types
 # ---------------------------------------------------------------------------
-
-
-def walsh_exponent(base: int, k: int, coord_digits) -> int:
-    """Exponent e with wal_k(x) = w**e for x given by its digit vector.
-
-    ``coord_digits`` lists the digits of x most significant first; digits
-    beyond the vector are zero, so any finite-precision point works.
-    """
-    if k < 0:
-        raise UsageError("Walsh index must be nonnegative")
-    kd = digits_of(k, base)
-    e = 0
-    for i, kappa in enumerate(kd):
-        if i < len(coord_digits) and kappa:
-            e += kappa * coord_digits[i]
-    return e % base
-
-
-def walsh_point_exponent(base: int, ks, point) -> int:
-    """Multivariate Walsh exponent: the per-coordinate exponents summed mod b."""
-    if len(ks) != point.dims:
-        raise UsageError("index vector and point dimension mismatch")
-    return sum(
-        walsh_exponent(base, k, point.digits[j]) for j, k in enumerate(ks)
-    ) % base
 
 
 def pair_type(base: int, k: int, l: int) -> tuple[int, int]:
@@ -371,17 +346,6 @@ def kernel_walsh_coeff(base: int, alpha: int, k: int, l: int) -> Cyclotomic:
     rows = _class_masks(base, _char_exponents(base, g, k)[None, :])
     cols = _class_masks(base, _char_exponents(base, g, l)[None, :])
     return _walsh_transform(base, alpha, g, rows, cols)(0, 0)
-
-
-def kernel_walsh_coeff_vec(base: int, alpha: int, ks, ls) -> Cyclotomic:
-    """Multivariate kernel coefficient: the coordinatewise product."""
-    if len(ks) != len(ls):
-        raise UsageError("index vectors must share one length")
-    return reduce(
-        lambda acc, pair: acc * kernel_walsh_coeff(base, alpha, pair[0], pair[1]),
-        zip(ks, ls),
-        Cyclotomic.one(base),
-    )
 
 
 def iter_kernel_coeffs(

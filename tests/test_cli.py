@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hodnet.cli import main
+from hodnet.gf import digits_of
+from hodnet.matrices import build_matrices, save_matrix_set
+from hodnet.quality import dick_weight
 
 
 def _run(tmp_path, name, *argv):
@@ -44,6 +48,7 @@ def test_converge_prefix_rows_independent_of_range_top(tmp_path):
         ("converge", "--alpha", "2", "--dims", "1", "--m-range", "1:6"),
         ("gen", "--dims", "2", "--m", "5", "--order", "3"),
         ("gen", "--dims", "2", "--m", "5", "--order", "3", "--format", "digits"),
+        ("dual", "--dims", "2", "--m", "4", "--order", "2", "--mu1-max", "7"),
     ],
 )
 def test_reruns_are_byte_identical(tmp_path, argv):
@@ -138,3 +143,70 @@ def test_verify_alpha_above_order_needs_t(tmp_path):
     assert main(["verify", *argv, "--out", str(tmp_path / "x")]) == 2
     report = _verify(tmp_path, *argv, "--t", "8")
     assert (report["t"], report["vacuous"]) == (8, True)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"alpha": "2"}, {"m_max": 3.5}, {"m_max": True}, {"construction": 1}, {"out": 7}],
+)
+def test_converge_config_rejects_wrong_types(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["converge", "--config", str(path), "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+
+
+def test_converge_config_accepts_null_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"order": None, "m_max": 2, "out": None}))
+    out = tmp_path / "x"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == 0
+    assert len(_data_rows(out.read_text())) == 2
+
+
+def _without_elapsed(text):
+    report = json.loads(text)
+    report.pop("elapsed_ms")
+    return report
+
+
+def test_matrix_file_with_extra_columns_gives_the_m_column_net(tmp_path):
+    # A file with 8 columns, read at m = 4, must be analysed as the 4-column
+    # net: the dual search once read all 8 and found rho_alpha = 13.
+    path = tmp_path / "m8.mat"
+    save_matrix_set(build_matrices(2, 2, 8, order=2), str(path))
+    net = ("--m", "4", "--dims", "2", "--order", "2")
+    verify = ("verify", *net, "--alpha", "2", "--rho-cap", "12")
+    from_file = _run(tmp_path, "f.json", *verify, "--matrices", str(path))
+    built = _run(tmp_path, "b.json", *verify)
+    assert _without_elapsed(from_file) == _without_elapsed(built)
+    assert _without_elapsed(built)["rho_alpha"] == 5
+    dual = ("dual", *net, "--mu1-max", "5")
+    from_file = _run(tmp_path, "f.csv", *dual, "--matrices", str(path))
+    built = _run(tmp_path, "b.csv", *dual)
+    assert from_file == built
+    assert _data_rows(built)[:2] == ["0,7,3,3", "1,9,5,5"]
+
+
+def test_dual_base3_rows_are_dual_vectors_with_their_weights(tmp_path):
+    # The matrix set's base, not --base (default 2), defines the weights.
+    ms = build_matrices(3, 2, 3, order=2)
+    path = tmp_path / "b3.mat"
+    save_matrix_set(ms, str(path))
+    text = _run(
+        tmp_path, "d.csv",
+        "dual", "--matrices", str(path), "--m", "3", "--dims", "2",
+        "--mu1-max", "6", "--alpha", "2",
+    )
+    rows = [[int(v) for v in line.split(",")] for line in _data_rows(text)]
+    assert rows
+    for k1, k2, mu1, mu_alpha in rows:
+        assert mu1 == dick_weight(3, 1, (k1, k2))
+        assert mu_alpha == dick_weight(3, 2, (k1, k2))
+        # Dual definition: sum_j C_j^T digits(k_j) = 0 over F_3, digits
+        # truncated to the matrix rows.
+        syndrome = sum(
+            mat.T @ np.array(digits_of(k, 3, ms.rows))
+            for mat, k in zip(ms.matrices, (k1, k2))
+        )
+        assert not (syndrome % 3).any()

@@ -1,5 +1,6 @@
 """Field and polynomial arithmetic: exhaustive ring axioms and series checks."""
 
+import numpy as np
 import pytest
 
 from hodnet.errors import UsageError
@@ -7,12 +8,11 @@ from hodnet.gf import (
     Poly,
     PrimeField,
     digits_of,
-    digitwise_add,
-    digitwise_sub,
-    int_from_digits,
     laurent_coeffs,
     monic_irreducibles,
 )
+from hodnet.points import _digits_to_int
+from hodnet.walsh import _char_exponents
 
 
 @pytest.mark.parametrize("b", [2, 3, 5])
@@ -52,19 +52,25 @@ def test_field_errors():
 
 
 def test_digitwise_examples():
-    # 5 = (2,1) and 7 = (1,2) in base 3; digitwise difference is (1,2) = 7.
-    assert digitwise_sub(5, 7, 3) == 7
-    assert digitwise_add(5, 7, 3) == int_from_digits([0, 0], 3)
-    assert digitwise_add(3, 1, 2) == 2
-    for k in range(20):
-        assert digitwise_add(k, 0, 3) == k
-        assert digitwise_sub(k, k, 3) == 0
+    # Walsh characters multiply as their indices add digitwise:
+    # e_j + e_k = e_(j (+) k) on every cell.  5 = (2,1) and 7 = (1,2) in
+    # base 3, so 5 (+) 7 = 0 and 5 (-) 7 = (1,2) = 7.
+    e5, e7 = _char_exponents(3, 2, 5), _char_exponents(3, 2, 7)
+    assert not ((e5 + e7) % 3).any()
+    assert np.array_equal((e5 - e7) % 3, e7)
+    # At b = 2 the digitwise sum is XOR: 3 (+) 1 = 2.
+    for j in range(16):
+        for k in range(16):
+            got = (_char_exponents(2, 4, j) + _char_exponents(2, 4, k)) % 2
+            assert np.array_equal(got, _char_exponents(2, 4, j ^ k))
 
 
 def test_digits_roundtrip():
+    # digits_of (least significant first) against the production
+    # digits-to-integer route (most significant first).
     for b in (2, 3, 5):
-        for k in range(200):
-            assert int_from_digits(digits_of(k, b), b) == k
+        digits = np.array([digits_of(k, b, 8)[::-1] for k in range(200)])
+        assert _digits_to_int(digits.astype(np.uint8), b).tolist() == list(range(200))
 
 
 def test_monic_irreducibles_base2():

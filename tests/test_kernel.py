@@ -1,6 +1,6 @@
-"""Bernoulli polynomials, kernel values, worst-case error and the dual route."""
+"""Bernoulli polynomials, kernel values, worst-case error and the Walsh-dual
+identity."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 
 from hodnet.bernoulli import bernoulli, bernoulli_coeffs
 from hodnet.cyclotomic import Cyclotomic
-from hodnet.errors import ResourceLimitError, UsageError
+from hodnet.errors import UsageError
 from hodnet.kernel import (
     KernelSpec,
     _kernel_matrix_1d,
-    dual_walsh_sum_exact,
     kernel_1d,
     wce,
     wce_squared_exact,
 )
 from hodnet.matrices import build_matrices, niederreiter_set
-from hodnet.points import DigitPoint, net_points, net_values
-from hodnet.walsh import kernel_walsh_coeff_vec
+from hodnet.points import net_points, net_values
+from hodnet.quality import dual_indices, min_dual_weight
+from hodnet.walsh import iter_kernel_coeffs
 
 
 def test_bernoulli_values():
@@ -97,8 +97,8 @@ def test_kernel_exact_symmetric_and_matches_matrix_path(alpha, pair):
 
 def test_wce_single_point_fixtures():
     spec = KernelSpec(1, 1)
-    p0 = DigitPoint(2, ((0,),))
-    ph = DigitPoint(2, ((1,),))
+    p0 = (Fraction(0),)
+    ph = (Fraction(1, 2),)
     assert wce_squared_exact(spec, [p0]) == Fraction(1, 3)
     assert wce_squared_exact(spec, [ph]) == Fraction(1, 12)
     assert wce_squared_exact(spec, [p0, ph]) == Fraction(1, 12)
@@ -129,10 +129,10 @@ def test_wce_tensor_product_relation():
     # For a single point, 1 + e_2d**2 factors into the per-coordinate values.
     spec2 = KernelSpec(1, 2)
     spec1 = KernelSpec(1, 1)
-    pt = DigitPoint(2, ((1,), (0, 1)))
+    pt = (Fraction(1, 2), Fraction(1, 4))
     e2_2d = wce_squared_exact(spec2, [pt])
-    ex = wce_squared_exact(spec1, [DigitPoint(2, ((1,),))])
-    ey = wce_squared_exact(spec1, [DigitPoint(2, ((0, 1),))])
+    ex = wce_squared_exact(spec1, [pt[:1]])
+    ey = wce_squared_exact(spec1, [pt[1:]])
     assert 1 + e2_2d == (1 + ex) * (1 + ey)
 
 
@@ -142,61 +142,30 @@ def test_wce_dimension_mismatch():
 
 
 def test_dual_truncated_empty_below_rho():
+    # The van der Corput net at m = 2 has no dual vector of weight below 3,
+    # so its truncated dual sum at cutoff 2 is empty.
     ms = niederreiter_set(2, 1, 2, 2)
-    spec = KernelSpec(1, 1)
-    assert dual_walsh_sum_exact(spec, ms, 2, 2).is_zero()
-
-
-def test_dual_sum_charges_cell_pairs():
-    # The s = 1 sum reads the cell matrix at resolution cutoff: 2**8 pairs.
-    spec = KernelSpec(1, 1)
-    ms = niederreiter_set(2, 1, 2, 2)
-    with pytest.raises(ResourceLimitError):
-        dual_walsh_sum_exact(spec, ms, 2, 4, work_limit=255)
-    assert dual_walsh_sum_exact(spec, ms, 2, 4, work_limit=256).is_rational()
+    assert dual_indices(ms, 2) == []
+    assert min_dual_weight(ms, 1, 3) == 3
 
 
 def test_dual_truncated_converges_to_kernel_wce():
-    spec = KernelSpec(1, 1)
-    ms = niederreiter_set(2, 1, 2, 2)
-    e2 = wce_squared_exact(spec, net_points(ms, 2))
-    gaps = []
-    for cutoff in (3, 4, 5, 6):
-        val = dual_walsh_sum_exact(spec, ms, 2, cutoff)
-        assert val.is_real()
-        gaps.append(abs(float(e2) - val.to_complex().real))
-    assert gaps == sorted(gaps, reverse=True)
-    assert gaps[-1] < gaps[0]
-
-
-def test_dual_sum_aggregation_matches_pairwise():
-    # The s = 1 aggregated route must equal literal pairwise summation.
-    from hodnet.quality import dual_indices
-
-    spec = KernelSpec(1, 1)
-    for m, cutoff in ((1, 4), (2, 5), (2, 6)):
-        ms = niederreiter_set(2, 1, m, m)
-        duals = [d.components[0] for d in dual_indices(ms, cutoff)]
-        acc = Cyclotomic.zero(2)
-        for a in duals:
-            for c in duals:
-                acc = acc + kernel_walsh_coeff_vec(2, 1, (a,), (c,))
-        assert dual_walsh_sum_exact(spec, ms, m, cutoff) == acc
-
-
-def test_dual_sum_two_dimensional_pairwise():
-    # s = 2 runs the generic pairwise route; compare against the kernel WCE
-    # qualitatively (truncation from below at a coarse cutoff).
-    spec = KernelSpec(1, 2)
-    ms = niederreiter_set(2, 2, 2, 2)
-    val = dual_walsh_sum_exact(spec, ms, 2, 4)
-    assert val.is_real()
-    e2 = float(wce_squared_exact(spec, net_points(ms, 2)))
-    assert 0 < val.to_complex().real < e2 + 1e-12
-
-
-def test_dual_sum_imaginary_cancellation_base3():
-    spec = KernelSpec(1, 1)
-    ms = niederreiter_set(3, 1, 2, 2)
-    val = dual_walsh_sum_exact(spec, ms, 2, 4)
-    assert val.is_real()
+    # Walsh-dual identity: e**2 is the sum of khat(k, l) over all pairs of
+    # nonzero dual vectors.  Truncated at a weight cutoff and read from the
+    # production scan, the sum is real (base 3 included) and approaches e**2
+    # from below.
+    for base, cutoffs in ((2, (3, 4, 5)), (3, (2, 3, 4))):
+        ms = niederreiter_set(base, 1, 2, 2)
+        e2 = wce_squared_exact(KernelSpec(1, 1), net_points(ms, 2))
+        gaps = []
+        for cutoff in cutoffs:
+            ks = {k for (k,) in dual_indices(ms, cutoff)}
+            coeffs = iter_kernel_coeffs(
+                base, 1, base**cutoff,
+                pair_filter=lambda k, l, p, q: k in ks and l in ks,
+            )
+            val = sum((v for *_, v in coeffs), Cyclotomic.zero(base))
+            assert val.is_real()
+            gaps.append(e2 - val.to_complex().real)
+        assert all(gap > 0 for gap in gaps)
+        assert gaps == sorted(gaps, reverse=True) and gaps[-1] < gaps[0]

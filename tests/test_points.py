@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodnet.errors import UsageError
-from hodnet.matrices import build_matrices, niederreiter_set
+from hodnet.matrices import (
+    GeneratingMatrixSet,
+    build_matrices,
+    interlace_matrix_set,
+    niederreiter_set,
+)
 from hodnet.points import (
-    DigitPoint,
     format_points_csv,
     format_points_digits,
-    interlace_digit_vectors,
-    interlace_point,
     net_digits,
     net_points,
     net_values,
@@ -26,10 +28,10 @@ def vdc(m):
 
 
 def test_net_points_index_examples():
+    assert net_digits(vdc(4), 4)[2].tolist() == [[0, 1, 0, 0]]
     pts = net_points(vdc(4), 4)
-    assert pts[2].digits == ((0, 1, 0, 0),)
-    assert pts[3].fractions() == (Fraction(3, 4),)
-    assert pts[0].fractions() == (Fraction(0),)
+    assert pts[3] == (Fraction(3, 4),)
+    assert pts[0] == (Fraction(0),)
 
 
 def test_net_points_index_bound():
@@ -41,13 +43,13 @@ def test_net_points_index_bound():
 
 
 def test_net_points_order_base2():
-    vals = [p.fractions()[0] for p in net_points(vdc(2), 2)]
+    vals = [p[0] for p in net_points(vdc(2), 2)]
     assert vals == [Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]
 
 
 def test_net_points_order_base3():
     ms = niederreiter_set(3, 1, 1, 1)
-    vals = [p.fractions()[0] for p in net_points(ms, 1)]
+    vals = [p[0] for p in net_points(ms, 1)]
     assert vals == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
 
 
@@ -62,38 +64,94 @@ def test_prefix_property_through_m8():
 def test_extensible_in_dimension():
     big = build_matrices(2, 3, 4, order=2)
     small = build_matrices(2, 2, 4, order=2)
-    for a, c in zip(net_points(big, 4), net_points(small, 4), strict=True):
-        assert a.digits[:2] == c.digits
+    assert np.array_equal(net_digits(big, 4)[:, :2, :], net_digits(small, 4))
+
+
+def _interlaced_digits(coords, factor):
+    # Digits of point 1 of the net whose one column per source dimension is
+    # that coordinate's digit vector, after interlacing the source.
+    src = GeneratingMatrixSet(2, [np.array(c)[:, None] for c in coords])
+    rows = factor * len(coords[0])
+    ms = interlace_matrix_set(src, factor, len(coords) // factor, rows, 1)
+    return net_digits(ms, 1)[1].tolist()
 
 
 def test_interlace_digit_examples():
-    assert interlace_digit_vectors([(1,), (1,)], 2) == (1, 1)
-    assert interlace_digit_vectors([(1, 1), (1, 0)], 2) == (1, 1, 1, 0)
-    assert interlace_digit_vectors([(0, 1, 0)], 1) == (0, 1, 0)
+    assert _interlaced_digits([(1,), (1,)], 2) == [[1, 1]]
+    assert _interlaced_digits([(1, 1), (1, 0)], 2) == [[1, 1, 1, 0]]
+    assert _interlaced_digits([(0, 1, 0)], 1) == [[0, 1, 0]]
 
 
 def test_interlace_digit_errors():
+    # Digit vectors of different precision do not form one matrix set, and
+    # a source with fewer than factor * dims coordinates cannot be merged.
     with pytest.raises(UsageError):
-        interlace_digit_vectors([(1,), (1, 0)], 2)
+        _interlaced_digits([(1,), (1, 0)], 2)
     with pytest.raises(UsageError):
-        interlace_digit_vectors([(1,)], 2)
+        _interlaced_digits([(1,)], 2)
 
 
 def test_interlace_point_blockwise():
-    pt = DigitPoint(2, ((1, 0), (0, 1), (1, 1), (0, 0)))
-    out = interlace_point(pt, 2)
-    assert out.digits == ((1, 0, 0, 1), (1, 0, 1, 0))
+    out = _interlaced_digits([(1, 0), (0, 1), (1, 1), (0, 0)], 2)
+    assert out == [[1, 0, 0, 1], [1, 0, 1, 0]]
 
 
 def test_matrix_vs_point_interlacing_small():
     # The interleaved matrices generate exactly the digit-interleaved points.
-    from hodnet.matrices import interlace_matrix_set
-
     b, d, s, m = 2, 2, 1, 4
     src = niederreiter_set(b, d * s, m, m)
     msd = interlace_matrix_set(src, d, s, d * m, m)
-    for direct, pt in zip(net_points(msd, m), net_points(src, m), strict=True):
-        assert direct.digits == interlace_point(pt, d).digits
+    direct = net_digits(msd, m)[:, 0, :]
+    merged = net_digits(src, m).transpose(0, 2, 1).reshape(b**m, d * m)
+    assert np.array_equal(direct, merged)
+
+
+# The largest m per base that keeps the property tests below a few hundred
+# points.
+_MAX_M = {2: 7, 3: 4, 5: 3}
+_nets = dict(
+    base=st.sampled_from(sorted(_MAX_M)),
+    order=st.integers(1, 5),
+    dims=st.integers(1, 3),
+    data=st.data(),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_nets)
+def test_net_digits_extensible_in_n(base, order, dims, data):
+    # The first b**m points of a larger build are the m-build's points,
+    # zero in every digit row below order * m.
+    m = data.draw(st.integers(1, _MAX_M[base]))
+    big_m = data.draw(st.integers(m, _MAX_M[base]))
+    small = net_digits(build_matrices(base, dims, m, order=order), m)
+    big = net_digits(build_matrices(base, dims, big_m, order=order), m)
+    assert np.array_equal(big[:, :, : order * m], small)
+    assert not big[:, :, order * m :].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_nets)
+def test_net_digits_extensible_in_dims(base, order, dims, data):
+    m = data.draw(st.integers(1, _MAX_M[base]))
+    wide = net_digits(build_matrices(base, dims + 1, m, order=order), m)
+    narrow = net_digits(build_matrices(base, dims, m, order=order), m)
+    assert np.array_equal(wide[:, :dims, :], narrow)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_nets)
+def test_net_digits_interlacing(base, order, dims, data):
+    # Coordinate j of the order-d net merges the digits of source
+    # coordinates d*j .. d*j + d - 1 round-robin, most significant first.
+    m = data.draw(st.integers(1, _MAX_M[base]))
+    n_points = base**m
+    direct = net_digits(build_matrices(base, dims, m, order=order), m)
+    src = net_digits(niederreiter_set(base, order * dims, m, m), m)
+    for j in range(dims):
+        block = src[:, order * j : order * (j + 1), :]
+        merged = block.transpose(0, 2, 1).reshape(n_points, order * m)
+        assert np.array_equal(direct[:, j, :], merged)
 
 
 def test_net_values_match_fractions():
@@ -101,7 +159,7 @@ def test_net_values_match_fractions():
     vals = net_values(ms, 3)
     pts = net_points(ms, 3)
     for row, pt in zip(vals, pts):
-        for got, frac in zip(row, pt.fractions()):
+        for got, frac in zip(row, pt):
             assert got == pytest.approx(float(frac), abs=0)
 
 
@@ -145,16 +203,19 @@ def _horner(digits, base):
 
 
 def _assert_values_are_rounded_horner(ms, m):
-    # Reference: a Python-int Horner over the digits of ``net_points``,
-    # divided with /, which rounds correctly.  fractions() is checked on
+    # Reference: a Python-int Horner over the digits of ``net_digits``,
+    # divided with /, which rounds correctly.  ``net_points`` is checked on
     # about 500 evenly spaced points to keep large nets fast.
     den = ms.base**ms.rows
-    pts = net_points(ms, m)
-    nums = [[_horner(coord, ms.base) for coord in pt.digits] for pt in pts]
+    nums = [
+        [_horner(coord, ms.base) for coord in pt]
+        for pt in net_digits(ms, m).tolist()
+    ]
     assert net_values(ms, m).tolist() == [[n / den for n in row] for row in nums]
+    pts = net_points(ms, m)
     step = max(1, len(pts) // 500)
     for pt, row in zip(pts[::step], nums[::step]):
-        assert pt.fractions() == tuple(Fraction(n, den) for n in row)
+        assert pt == tuple(Fraction(n, den) for n in row)
 
 
 @settings(max_examples=30, deadline=None)
@@ -190,7 +251,7 @@ def test_digits_format_equals_per_digit_str(base):
     ms = build_matrices(base, 2, 3, order=2)
     lines = format_points_digits(ms, 3).splitlines()[1:]
     want = [
-        "|".join("".join(str(d) for d in coord) for coord in pt.digits)
-        for pt in net_points(ms, 3)
+        "|".join("".join(str(d) for d in coord) for coord in pt)
+        for pt in net_digits(ms, 3).tolist()
     ]
     assert lines == want

@@ -1,6 +1,5 @@
 """Walsh functions, pair types, exact kernel coefficients, count formulas."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,10 +11,10 @@ from hypothesis import strategies as st
 
 from hodnet.cyclotomic import Cyclotomic
 from hodnet.errors import ResourceLimitError, UsageError
-from hodnet.points import DigitPoint
 from hodnet.quality import nonzero_digit_terms
 from hodnet.walsh import (
     _cell_matrix,
+    _char_exponents,
     _exponent_matrix,
     _periodic_coeff_reference,
     _walsh_transform,
@@ -24,21 +23,20 @@ from hodnet.walsh import (
     decay_ratio_sup,
     iter_kernel_coeffs,
     kernel_walsh_coeff,
-    kernel_walsh_coeff_vec,
     pair_type,
     sparsity_violations,
-    walsh_exponent,
-    walsh_point_exponent,
 )
 
 
 def test_walsh_exponent_examples():
-    assert walsh_exponent(2, 0, (1, 0, 1)) == 0
-    assert walsh_exponent(2, 1, (1,)) == 1  # x = 1/2, value -1
-    assert walsh_exponent(3, 2, (1, 0)) == 2
-    pt = DigitPoint(2, ((1,), (1,)))
-    assert walsh_point_exponent(2, (1, 1), pt) == 0
-    assert walsh_point_exponent(2, (1, 0), pt) == 1
+    # e with wal_k(x) = w**e on the cell of x at resolution g; cell t has the
+    # digits of x, most significant first.
+    assert _char_exponents(2, 3, 0)[0b101] == 0
+    assert _char_exponents(2, 1, 1)[1] == 1  # x = 1/2, value -1
+    assert _char_exponents(3, 2, 2)[3] == 2  # x = 0.10 in base 3
+    # A multivariate exponent is the coordinate sum mod b: at (1/2, 1/2),
+    # k = (1, 1) gives 1 + 1 = 0 and k = (1, 0) gives 1 + 0 = 1.
+    assert [_char_exponents(2, 1, k)[1] for k in (1, 0)] == [1, 0]
 
 
 def test_pair_type_examples():
@@ -147,11 +145,6 @@ def test_kernel_coeff_examples():
         for alpha in (1, 2):
             assert kernel_walsh_coeff(b, alpha, 0, 0) == Cyclotomic.one(b)
     assert kernel_walsh_coeff(2, 1, 85, 1).is_zero()
-    # Multivariate: product over coordinates, all-zero index gives 1.
-    assert kernel_walsh_coeff_vec(2, 1, (0, 0), (0, 0)) == Cyclotomic.one(2)
-    v = kernel_walsh_coeff_vec(2, 1, (1, 2), (1, 0))
-    w = kernel_walsh_coeff(2, 1, 1, 1) * kernel_walsh_coeff(2, 1, 2, 0)
-    assert v == w
 
 
 def test_kernel_coeff_conjugate_symmetry():
@@ -167,9 +160,9 @@ def test_kernel_coeff_conjugate_symmetry():
 
 def test_multivariate_sparsity_corollary():
     # One bad coordinate pair kills the whole product.
-    val = kernel_walsh_coeff_vec(2, 1, (85, 1), (1, 1))
+    val = kernel_walsh_coeff(2, 1, 85, 1) * kernel_walsh_coeff(2, 1, 1, 1)
     assert val.is_zero()
-    val = kernel_walsh_coeff_vec(3, 1, (1, 61), (1, 1))
+    val = kernel_walsh_coeff(3, 1, 1, 1) * kernel_walsh_coeff(3, 1, 61, 1)
     p, q = pair_type(3, 61, 1)
     if p + q > 2:
         assert val.is_zero()
