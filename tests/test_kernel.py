@@ -149,23 +149,43 @@ def test_dual_truncated_empty_below_rho():
     assert min_dual_weight(ms, 1, 3) == 3
 
 
+def _truncated_dual_sum(ms, base, cutoff):
+    # Sum of khat(k, l) over pairs of nonzero dual vectors of weight below
+    # cutoff, read from the production Walsh scan (s = 1).
+    ks = {k for (k,) in dual_indices(ms, cutoff)}
+    coeffs = iter_kernel_coeffs(
+        base, 1, base**cutoff,
+        pair_filter=lambda k, l, p, q: k in ks and l in ks,
+    )
+    return sum((v for *_, v in coeffs), Cyclotomic.zero(base))
+
+
 def test_dual_truncated_converges_to_kernel_wce():
     # Walsh-dual identity: e**2 is the sum of khat(k, l) over all pairs of
-    # nonzero dual vectors.  Truncated at a weight cutoff and read from the
-    # production scan, the sum is real (base 3 included) and approaches e**2
-    # from below.
+    # nonzero dual vectors.  Truncated at a weight cutoff, the sum is real and
+    # approaches e**2 from below.
     for base, cutoffs in ((2, (3, 4, 5)), (3, (2, 3, 4))):
         ms = niederreiter_set(base, 1, 2, 2)
         e2 = wce_squared_exact(KernelSpec(1, 1), net_points(ms, 2))
         gaps = []
         for cutoff in cutoffs:
-            ks = {k for (k,) in dual_indices(ms, cutoff)}
-            coeffs = iter_kernel_coeffs(
-                base, 1, base**cutoff,
-                pair_filter=lambda k, l, p, q: k in ks and l in ks,
-            )
-            val = sum((v for *_, v in coeffs), Cyclotomic.zero(base))
+            val = _truncated_dual_sum(ms, base, cutoff)
             assert val.is_real()
             gaps.append(e2 - val.to_complex().real)
         assert all(gap > 0 for gap in gaps)
         assert gaps == sorted(gaps, reverse=True) and gaps[-1] < gaps[0]
+
+
+def test_dual_sum_imaginary_cancellation_base3():
+    # In base 3 single coefficients khat(k, l) are complex; summed over the
+    # dual pairs their imaginary parts cancel exactly.
+    ms = niederreiter_set(3, 1, 2, 2)
+    ks = {k for (k,) in dual_indices(ms, 4)}
+    terms = [
+        v for *_, v in iter_kernel_coeffs(
+            3, 1, 3**4, pair_filter=lambda k, l, p, q: k in ks and l in ks,
+        )
+    ]
+    assert any(not v.is_real() for v in terms)
+    val = _truncated_dual_sum(ms, 3, 4)
+    assert val.is_real() and not val.is_zero()
