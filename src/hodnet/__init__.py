@@ -56,6 +56,7 @@ from .kernel import (
     kernel_1d,
     wce,
     wce_squared_exact,
+    wce_squared_sorted,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

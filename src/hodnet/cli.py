@@ -9,7 +9,10 @@ configuration produce byte-identical output; the one exception is the
 ``elapsed_ms`` field of the verify report.
 
 ``wce`` is a one-row ``converge``: it runs the same experiment at m_min =
-m_max = m and prints the columns b,s,alpha,order_d,m,N,e,log_b_e.
+m_max = m and prints the columns b,s,alpha,order_d,m,N,e,log_b_e.  For
+s <= 2 both sum the kernel exactly over the points' integer numerators and
+print e correctly rounded from the exact e**2; for s >= 3 they run the
+binary64 block kernel, the only path that ``--threads`` applies to.
 """
 
 from __future__ import annotations
@@ -24,14 +27,20 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import NumericalConsistencyError, ResourceLimitError, UsageError
-from .kernel import KernelSpec, wce
+from .kernel import KernelSpec, sqrt_rounded, wce, wce_squared_sorted
 from .matrices import (
     GeneratingMatrixSet,
     build_matrices,
     load_matrix_set,
     t_value_bound,
 )
-from .points import format_points_csv, format_points_digits, net_values
+from .points import (
+    _digits_to_int,
+    format_points_csv,
+    format_points_digits,
+    net_digits,
+    net_values,
+)
 from .quality import (
     DEFAULT_WORK_LIMIT,
     certify_net,
@@ -123,7 +132,8 @@ def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     """Worst-case errors of the configured sequence for each m in range.
 
     The matrix set is built once at m_max columns (and order * m_max rows),
-    so each row's point set is an exact prefix of the next row's.
+    so each row's point set is an exact prefix of the next row's.  Up to two
+    dimensions e is exact, correctly rounded; beyond, binary64.
     """
     d = cfg.effective_order
     ms = build_matrices(cfg.base, cfg.dims, cfg.m_max, order=d)
@@ -136,7 +146,11 @@ def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
                 f"kernel double sum at m={m} needs {n * n * cfg.dims} "
                 f"evaluations, limit is {cfg.work_limit}"
             )
-        e = wce(spec, net_values(ms, m), threads=cfg.threads)
+        if cfg.dims <= 2:
+            nums = _digits_to_int(net_digits(ms, m), ms.base)
+            e = sqrt_rounded(wce_squared_sorted(spec, nums, ms.base**ms.rows))
+        else:
+            e = wce(spec, net_values(ms, m), threads=cfg.threads)
         log_e = math.log(e, cfg.base) if e > 0 else float("-inf")
         normalized = (
             e * float(cfg.base) ** (cfg.alpha * m) / m ** ((cfg.dims - 1) / 2)
@@ -187,6 +201,10 @@ def _cmd_verify(args) -> int:
     ms = _matrices_from_args(args)
     alpha = args.alpha if args.alpha is not None else args.order
     t = args.t
+    if t is None and args.matrices:
+        raise UsageError(
+            "a matrix file carries no construction bound to default t from; give --t"
+        )
     if t is None:
         # An order-d net with parameter t_d is an order-alpha net with
         # ceil(t_d * alpha / d) for alpha <= d; beyond d no bound follows.
@@ -220,11 +238,13 @@ def _cmd_verify(args) -> int:
 def _cmd_dual(args) -> int:
     ms = _matrices_from_args(args)
     duals = dual_indices(ms, args.mu1_max, work_limit=args.work_limit)
+    # A matrix file fixes b, s and d; the flags describe only a built net.
     lines = [
-        f"# hodnet dual v{__version__} b={args.base} s={args.dims} m={args.m} "
-        f"d={args.order} mu1_max={args.mu1_max} alpha={args.alpha}"
+        f"# hodnet dual v{__version__} b={ms.base} s={ms.dims} m={args.m} "
+        f"d={ms.provenance.interlace_factor} mu1_max={args.mu1_max} "
+        f"alpha={args.alpha}"
     ]
-    header = ",".join(f"k{j + 1}" for j in range(args.dims))
+    header = ",".join(f"k{j + 1}" for j in range(ms.dims))
     lines.append(f"{header},mu1,mu_alpha")
     for dv in duals:
         comps = ",".join(str(c) for c in dv)
@@ -357,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--t", type=int, default=None,
         help="quality parameter (default: the order-d construction bound "
-        "propagated to alpha; required when alpha exceeds d)",
+        "propagated to alpha; required when alpha exceeds d or with --matrices)",
     )
     verify.add_argument(
         "--rho-cap", type=int, dest="rho_cap", default=None,
@@ -375,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     wce_p = subs.add_parser("wce", help="single worst-case error")
     _add_common(wce_p, order_default=None)
     wce_p.add_argument("--alpha", type=int, default=1)
-    wce_p.add_argument("--threads", type=int, default=1)
+    wce_p.add_argument(
+        "--threads", type=int, default=1,
+        help="threads of the binary64 kernel (dims >= 3 only)",
+    )
     wce_p.set_defaults(func=_cmd_wce)
 
     walsh_p = subs.add_parser("walsh", help="exact kernel Walsh coefficients")
@@ -393,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--dims", type=int)
     conv.add_argument("--m-range", dest="m_range", help="lo:hi")
     conv.add_argument("--out")
-    conv.add_argument("--threads", type=int)
+    conv.add_argument(
+        "--threads", type=int, help="threads of the binary64 kernel (dims >= 3 only)"
+    )
     conv.add_argument("--work-limit", type=int, dest="work_limit")
     conv.set_defaults(func=_cmd_converge)
 

@@ -205,18 +205,27 @@ def save_matrix_set(ms: GeneratingMatrixSet, path_or_file) -> None:
 
 
 def load_matrix_set(path_or_file) -> GeneratingMatrixSet:
-    """Read a matrix set written by :func:`save_matrix_set`."""
+    """Read a matrix set written by :func:`save_matrix_set`.
+
+    The interlace factor comes back from the ``# construction=... d=...``
+    line; the construction and its t claim do not, so the set is explicit.
+    """
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file) if own else path_or_file
     try:
-        lines = [
-            ln.strip()
-            for ln in fh
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+        text = [ln.strip() for ln in fh if ln.strip()]
     finally:
         if own:
             fh.close()
+    lines = [ln for ln in text if not ln.startswith("#")]
+    factor = 1
+    for ln in text:
+        if ln.startswith("# construction="):
+            fields = dict(tok.partition("=")[::2] for tok in ln[1:].split())
+            try:
+                factor = int(fields.get("d", 1))
+            except ValueError as exc:
+                raise UsageError(f"bad interlace factor in {ln!r}") from exc
     if not lines:
         raise UsageError("matrix file is empty")
     header = lines[0].split()
@@ -238,5 +247,5 @@ def load_matrix_set(path_or_file) -> GeneratingMatrixSet:
             block.append(entries)
             idx += 1
         mats.append(block)
-    return GeneratingMatrixSet(base, mats, Provenance("explicit"))
+    return GeneratingMatrixSet(base, mats, Provenance("explicit", factor))
 

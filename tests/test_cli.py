@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line interface through ``main(argv)``."""
 
 import json
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ def _data_rows(text):
     return [line for line in text.splitlines() if not line.startswith("#")][1:]
 
 
+def _base3_file(tmp_path):
+    # A 2-dimensional base-3 order-2 set, unlike the flags' defaults.
+    path = tmp_path / "b3.mat"
+    save_matrix_set(build_matrices(3, 2, 3, order=2), str(path))
+    return str(path)
+
+
 def test_wce_row_equals_converge_row(tmp_path):
     wce = _run(tmp_path, "wce.csv", "wce", "--alpha", "2", "--dims", "2", "--m", "6")
     conv = _run(
@@ -39,6 +48,38 @@ def test_converge_prefix_rows_independent_of_range_top(tmp_path):
     short = _run(tmp_path, "a.csv", "converge", "--alpha", "1", "--m-range", "6:8")
     long = _run(tmp_path, "b.csv", "converge", "--alpha", "1", "--m-range", "6:10")
     assert _data_rows(long)[:3] == _data_rows(short)
+
+
+def test_converge_prefix_rows_independent_of_range_top_s2(tmp_path):
+    conv = ("converge", "--alpha", "2", "--dims", "2")
+    short = _run(tmp_path, "a.csv", *conv, "--m-range", "3:5")
+    long = _run(tmp_path, "b.csv", *conv, "--m-range", "3:7")
+    assert _data_rows(long)[:3] == _data_rows(short)
+
+
+CONVERGE_REFS = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "data" / "converge_refs.json"
+)
+
+
+@pytest.mark.parametrize("alpha, dims, top", [(3, 1, 13), (2, 2, 12)])
+def test_converge_prints_exact_e_correctly_rounded(tmp_path, alpha, dims, top):
+    # The exact e**2 of both benchmark converge runs, computed by separate
+    # code; binary64 double sums printed 0.0 at alpha=3, s=1, m=11..13.
+    refs = json.loads(CONVERGE_REFS.read_text())["runs"][f"b2_a{alpha}_s{dims}"]
+    text = _run(
+        tmp_path, "c.csv",
+        "converge", "--alpha", str(alpha), "--dims", str(dims),
+        "--m-range", f"1:{top}", "--work-limit", "1000000000",
+    )
+    rows = [line.split(",") for line in _data_rows(text)]
+    assert [int(row[0]) for row in rows] == [ref["m"] for ref in refs]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for row, ref in zip(rows, refs):
+            num, den = (int(v) for v in ref["e2"].split("/"))
+            assert row[2] == repr(float((Decimal(num) / Decimal(den)).sqrt()))
+            assert float(row[2]) > 0 and float(row[3]) > float("-inf")
 
 
 @pytest.mark.parametrize(
@@ -136,6 +177,19 @@ def test_verify_flags_vacuous_certificate(tmp_path):
     assert report["vacuous"] is False
 
 
+def test_verify_matrix_file_needs_t(tmp_path):
+    # A file brings no construction bound: the base-2 one (t = 8) made the
+    # base-3 net's certificate vacuous, where its own bound is t = 4.
+    net = ("--m", "3", "--dims", "2", "--order", "2", "--alpha", "2")
+    argv = ["verify", "--matrices", _base3_file(tmp_path), *net]
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    from_file = _verify(tmp_path, *argv[1:], "--t", "4")
+    built = _verify(tmp_path, "--base", "3", *net)
+    assert from_file["t"] == built["t"] == 4
+    from_file.pop("elapsed_ms"), built.pop("elapsed_ms")
+    assert from_file == built
+
+
 def test_verify_alpha_above_order_needs_t(tmp_path):
     # No default t follows for alpha > d; an explicit one is checked as given
     # (here t = alpha*m, which leaves no budget).
@@ -176,7 +230,9 @@ def test_matrix_file_with_extra_columns_gives_the_m_column_net(tmp_path):
     path = tmp_path / "m8.mat"
     save_matrix_set(build_matrices(2, 2, 8, order=2), str(path))
     net = ("--m", "4", "--dims", "2", "--order", "2")
-    verify = ("verify", *net, "--alpha", "2", "--rho-cap", "12")
+    # t = 8 is the built net's default (t_value_bound(2, 2, 2)); a file
+    # needs it given.
+    verify = ("verify", *net, "--alpha", "2", "--t", "8", "--rho-cap", "12")
     from_file = _run(tmp_path, "f.json", *verify, "--matrices", str(path))
     built = _run(tmp_path, "b.json", *verify)
     assert _without_elapsed(from_file) == _without_elapsed(built)
@@ -186,6 +242,20 @@ def test_matrix_file_with_extra_columns_gives_the_m_column_net(tmp_path):
     built = _run(tmp_path, "b.csv", *dual)
     assert from_file == built
     assert _data_rows(built)[:2] == ["0,7,3,3", "1,9,5,5"]
+
+
+def test_dual_header_comes_from_the_matrix_set(tmp_path):
+    # The flags say b=2, s=1, d=1; the file holds a base-3 set with s=2, d=2.
+    text = _run(
+        tmp_path, "d.csv",
+        "dual", "--matrices", _base3_file(tmp_path), "--m", "3", "--dims", "1",
+        "--mu1-max", "3",
+    )
+    comment, header, *rows = text.splitlines()
+    assert comment.split()[4:7] == ["b=3", "s=2", "m=3"]
+    assert "d=2" in comment.split()
+    assert header == "k1,k2,mu1,mu_alpha"
+    assert rows and all(len(row.split(",")) == 4 for row in rows)
 
 
 def test_dual_base3_rows_are_dual_vectors_with_their_weights(tmp_path):

@@ -1,6 +1,10 @@
-"""Every name a hodnet module imports is used in that module."""
+"""Every name a hodnet module imports is used in that module, and the CLI
+imports no heavy optional package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,18 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def test_cli_import_pulls_in_no_heavy_package():
+    # Every CLI run pays its imports in set-up time; sympy, scipy and
+    # hypothesis are installed here but must stay out of that path.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    probe = (
+        "import sys, hodnet.cli; "
+        "print(sorted({'sympy', 'scipy', 'hypothesis'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 identity."""
 
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,13 @@ from hodnet.kernel import (
     KernelSpec,
     _kernel_matrix_1d,
     kernel_1d,
+    sqrt_rounded,
     wce,
     wce_squared_exact,
+    wce_squared_sorted,
 )
 from hodnet.matrices import build_matrices, niederreiter_set
-from hodnet.points import net_points, net_values
+from hodnet.points import _digits_to_int, net_digits, net_points, net_values
 from hodnet.quality import dual_indices, min_dual_weight
 from hodnet.walsh import iter_kernel_coeffs
 
@@ -93,6 +96,76 @@ def test_kernel_exact_symmetric_and_matches_matrix_path(alpha, pair):
     )
     for got in (block[0, 0], block[1, 1]):
         assert got == pytest.approx(float(exact), rel=1e-12)
+
+
+def _sorted_e2(alpha, nums, den):
+    nums = np.array(nums, dtype=object).reshape(len(nums), -1)
+    return wce_squared_sorted(KernelSpec(alpha, nums.shape[1]), nums, den)
+
+
+def _oracle_e2(alpha, nums, den):
+    pts = [tuple(Fraction(x, den) for x in pt) for pt in nums]
+    return wce_squared_exact(KernelSpec(alpha, len(pts[0])), pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.sampled_from((1, 2, 3)),
+    dims=st.sampled_from((1, 2)),
+    net=st.sampled_from((2, 3, 5)).flatmap(
+        lambda b: st.tuples(st.just(b), st.integers(1, {2: 4, 3: 3, 5: 2}[b]))
+    ),
+)
+def test_sorted_wce_equals_oracle_on_nets(alpha, dims, net):
+    b, m = net
+    ms = build_matrices(b, dims, m, order=2 * alpha + 1)
+    nums = _digits_to_int(net_digits(ms, m), b)
+    den = b**ms.rows
+    assert _sorted_e2(alpha, nums, den) == _oracle_e2(alpha, nums.tolist(), den)
+
+
+@st.composite
+def _tied_point_sets(draw):
+    """Numerators over b**k, N <= 40, with coordinates copied between points
+    so that equal x and equal y values occur."""
+    b = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(1, 4))
+    dims = draw(st.sampled_from((1, 2)))
+    coord = st.integers(0, b**k - 1)
+    pts = draw(st.lists(st.lists(coord, min_size=dims, max_size=dims),
+                        min_size=1, max_size=40))
+    index = st.integers(0, len(pts) - 1)
+    for src, dst, j in draw(st.lists(st.tuples(index, index, st.integers(0, dims - 1)),
+                                     max_size=12)):
+        pts[dst][j] = pts[src][j]
+    return b**k, pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from((1, 2, 3)), case=_tied_point_sets())
+def test_sorted_wce_equals_oracle_with_ties(alpha, case):
+    den, nums = case
+    assert _sorted_e2(alpha, nums, den) == _oracle_e2(alpha, nums, den)
+
+
+def test_sorted_wce_rejects_three_dims():
+    with pytest.raises(UsageError):
+        wce_squared_sorted(KernelSpec(1, 3), np.zeros((4, 3), dtype=object), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.integers(1, 2**300),
+    den=st.integers(1, 2**300),
+    root=st.floats(min_value=1e-30, max_value=1e30),
+)
+def test_sqrt_rounded_is_correctly_rounded(num, den, root):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = float((Decimal(num) / Decimal(den)).sqrt())
+    assert sqrt_rounded(Fraction(num, den)) == want
+    # Exact squares take the path with no sticky bit.
+    assert sqrt_rounded(Fraction(root) ** 2) == root
 
 
 def test_wce_single_point_fixtures():

@@ -131,6 +131,7 @@ def test_file_roundtrip():
     loaded = load_matrix_set(io.StringIO(buf.getvalue()))
     assert loaded.base == ms.base
     assert loaded.dims == ms.dims and loaded.rows == ms.rows
+    assert loaded.provenance.interlace_factor == 2
     for a, c in zip(loaded.matrices, ms.matrices):
         assert np.array_equal(a, c)
 
@@ -150,3 +151,5 @@ def test_file_format_errors():
         load_matrix_set(io.StringIO("2 1 1\n1\n"))
     with pytest.raises(UsageError):
         load_matrix_set(io.StringIO("2 1 2 2\n1 0\n"))
+    with pytest.raises(UsageError):
+        load_matrix_set(io.StringIO("# construction=explicit d=x\n2 1 1 1\n1\n"))
