@@ -128,6 +128,18 @@ class ConvergenceRow:
     normalized: float
 
 
+def _convergence_work(cfg: ExperimentConfig, n: int) -> int:
+    """Price of one row of N = n points, by the path that computes it.
+
+    The exact path (s <= 2) sorts and sums (2 alpha)**s columns over
+    N * ceil(log2 N)**(s-1) point-level entries; the binary64 block kernel
+    evaluates n * n * dims kernel factors.
+    """
+    if cfg.dims <= 2:
+        return n * (n - 1).bit_length() ** (cfg.dims - 1) * (2 * cfg.alpha) ** cfg.dims
+    return n * n * cfg.dims
+
+
 def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     """Worst-case errors of the configured sequence for each m in range.
 
@@ -141,10 +153,11 @@ def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     rows: list[ConvergenceRow] = []
     for m in range(cfg.m_min, cfg.m_max + 1):
         n = cfg.base**m
-        if n * n * cfg.dims > cfg.work_limit:
+        work = _convergence_work(cfg, n)
+        if work > cfg.work_limit:
             raise ResourceLimitError(
-                f"kernel double sum at m={m} needs {n * n * cfg.dims} "
-                f"evaluations, limit is {cfg.work_limit}"
+                f"worst-case error at m={m} needs {work} units of work, "
+                f"limit is {cfg.work_limit}"
             )
         if cfg.dims <= 2:
             nums = _digits_to_int(net_digits(ms, m), ms.base)
@@ -381,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--rho-cap", type=int, dest="rho_cap", default=None,
-        help="weight-1 search cap for the minimum dual weight",
+        help="cap on the minimum dual weight: rho_alpha is reported when it "
+        "is at most the cap and null otherwise (default alpha*m + 2)",
     )
     verify.set_defaults(func=_cmd_verify)
 

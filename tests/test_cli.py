@@ -108,11 +108,28 @@ def test_work_limit_exits_3(tmp_path):
 
 
 def test_wce_work_limit_exits_3(tmp_path):
-    # m=4 in one dimension needs 16 * 16 = 256 kernel evaluations.
+    # m=4 in one dimension takes the exact sorted path: N = 16 points times
+    # 2 * alpha = 2 columns is 32 units.
     out = str(tmp_path / "x")
     assert main(["wce", "--m", "4", "--work-limit", "10", "--out", out]) == 3
-    assert main(["wce", "--m", "4", "--work-limit", "255", "--out", out]) == 3
-    assert main(["wce", "--m", "4", "--work-limit", "256", "--out", out]) == 0
+    assert main(["wce", "--m", "4", "--work-limit", "31", "--out", out]) == 3
+    assert main(["wce", "--m", "4", "--work-limit", "32", "--out", out]) == 0
+
+
+def test_wce_work_limit_prices_the_block_kernel_quadratically(tmp_path):
+    # At s = 3 the binary64 block kernel evaluates N * N * s = 8 * 8 * 3.
+    argv = ["wce", "--dims", "3", "--m", "3", "--out", str(tmp_path / "x")]
+    assert main([*argv, "--work-limit", "191"]) == 3
+    assert main([*argv, "--work-limit", "192"]) == 0
+
+
+def test_exact_converge_fits_the_default_work_limit(tmp_path):
+    # Priced as a quadratic sum, m = 12 needed 4096**2 > 10**7 units.
+    text = _run(tmp_path, "c.csv", "converge", "--alpha", "3", "--dims", "1",
+                "--m-range", "1:13")
+    assert [row.split(",")[0] for row in _data_rows(text)] == [
+        str(m) for m in range(1, 14)
+    ]
 
 
 def test_gen_digits_above_base_10_parse_back(tmp_path):
@@ -280,3 +297,38 @@ def test_dual_base3_rows_are_dual_vectors_with_their_weights(tmp_path):
             for mat, k in zip(ms.matrices, (k1, k2))
         )
         assert not (syndrome % 3).any()
+
+
+def _verify_report(tmp_path, *argv):
+    return _without_elapsed(_run(tmp_path, "v.json", "verify", *argv))
+
+
+def test_verify_rho_alpha_is_null_above_the_cap(tmp_path):
+    # rho_2 = 4; the weight-1 shells up to 3 once gave 5.
+    path = tmp_path / "one.mat"
+    path.write_text("2 1 4 2\n1 1\n1 0\n1 0\n0 0\n")
+    argv = ("--matrices", str(path), "--dims", "1", "--order", "2", "--alpha", "2",
+            "--m", "2", "--t", "0")
+    capped = _verify_report(tmp_path, *argv, "--rho-cap", "3")
+    assert capped["rho_alpha"] is None
+    assert capped["rho_alpha_note"] == "exceeds search cap 3"
+    assert _verify_report(tmp_path, *argv, "--rho-cap", "4")["rho_alpha"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("--dims", "4", "--order", "1", "--m", "14"),
+         {"verdict": "certified", "t": 3, "budget": 11, "rho_alpha": 12}),
+        (("--dims", "4", "--order", "1", "--m", "16"),
+         {"verdict": "certified", "t": 3, "budget": 13, "rho_alpha": 14}),
+        (("--dims", "2", "--order", "3", "--alpha", "1", "--m", "8", "--t", "3"),
+         {"verdict": "certified", "budget": 5, "rho_alpha": 6}),
+        (("--dims", "2", "--order", "3", "--alpha", "1", "--m", "8", "--t", "2",
+          "--rho-cap", "0"),
+         {"verdict": "refuted", "witness": [[1, [1, 2]], [2, [1, 2, 3, 4]]]}),
+    ],
+)
+def test_verify_known_answers(tmp_path, argv, expected):
+    report = _verify_report(tmp_path, "--base", "2", *argv)
+    assert {key: report[key] for key in expected} == expected

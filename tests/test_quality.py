@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodnet.errors import ResourceLimitError, UsageError
 from hodnet.matrices import (
@@ -16,6 +18,9 @@ from hodnet.matrices import (
     t_value_bound,
 )
 from hodnet.quality import (
+    _envelope_selections,
+    _SyndromeTransform,
+    _WorkCounter,
     certify_net,
     dick_weight,
     dual_indices,
@@ -122,6 +127,26 @@ def test_min_dual_weight_identity():
 def test_min_dual_weight_exceeds_cap():
     ms = niederreiter_set(2, 1, 3, 3)
     assert min_dual_weight(ms, 1, 2) is None
+
+
+def test_min_dual_weight_is_none_above_the_cap():
+    # rho_2 = 4 from k = 8 (row 4 is zero).  Up to weight-1 metric 3 the
+    # only dual vector is k = 6 (rows 2 and 3 cancel) of order-2 weight
+    # 3 + 2 = 5, which was once returned at cap 3 although it is not rho_2.
+    mats = [np.array([[1, 1], [1, 0], [1, 0], [0, 0]])]
+    ms = GeneratingMatrixSet(2, mats, Provenance("explicit"))
+    assert min_dual_weight(ms, 2, 3) is None
+    assert min_dual_weight(ms, 2, 4) == 4
+    assert min_dual_weight(ms, 2, 9) == 4
+
+
+def test_min_dual_weight_work_limit():
+    # Three coordinates over 2**4 syndromes: three tables, one join (two
+    # transformed operands and a result) and the last read, 16 units each.
+    ms = niederreiter_set(2, 3, 4, 4)
+    with pytest.raises(ResourceLimitError):
+        min_dual_weight(ms, 1, 6, work_limit=111)
+    assert min_dual_weight(ms, 1, 6, work_limit=112) == min_dual_weight(ms, 1, 6)
 
 
 def test_min_dual_weight_interlaced_lower_bound():
@@ -276,3 +301,154 @@ def test_dual_index_expansion_roundtrip():
     # 17 = 122 and 5 = 12 in base 3: leading positions 3 and 2.
     assert dick_weight(3, 1, vec) == 5
     assert dick_weight(3, 2, vec) == 3 + 2 + 2 + 1
+
+
+def _random_set(draw, bases, max_m, extra_rows=1):
+    b = draw(st.sampled_from(bases))
+    alpha = draw(st.sampled_from((1, 2, 3)))
+    m = draw(st.integers(1, max_m[b]))
+    dims = draw(st.integers(1, 3))
+    rows = alpha * m + draw(st.integers(0, extra_rows))
+    entries = draw(
+        st.lists(st.integers(0, b - 1), min_size=dims * rows * m,
+                 max_size=dims * rows * m)
+    )
+    mats = np.array(entries).reshape(dims, rows, m)
+    return GeneratingMatrixSet(b, list(mats), Provenance("explicit")), alpha
+
+
+def _leaf_certify(ms, alpha, t):
+    """Reference certifier: one from-scratch rank check per leaf selection,
+    in the enumeration order of certify_net; returns the outcome and the
+    number of leaves charged."""
+    m, dims = ms.cols, ms.dims
+    budget = alpha * m - t
+    if budget <= 0:
+        return ("certified", None), 0
+    per_dim = _envelope_selections(ms.rows, alpha, budget)
+    work = _WorkCounter(10**9)
+
+    def rec(j, cost, picked):
+        if j == dims:
+            if not any(picked):
+                return None
+            work.charge()
+            stacked = [ms.matrices[jj][i - 1] for jj, rows in enumerate(picked) for i in rows]
+            if _rank_mod(np.array(stacked) % ms.base, ms.base) < len(stacked):
+                return tuple((jj + 1, rows) for jj, rows in enumerate(picked) if rows)
+            return None
+        for cost_j, rows in per_dim:
+            if cost + cost_j > budget:
+                break
+            witness = rec(j + 1, cost + cost_j, picked + [rows])
+            if witness is not None:
+                return witness
+        return None
+
+    witness = rec(0, 0, [])
+    verdict = ("certified", None) if witness is None else ("refuted", witness)
+    return verdict, work.count
+
+
+@st.composite
+def _certify_cases(draw):
+    ms, alpha = _random_set(draw, (2, 3, 5), {2: 4, 3: 2, 5: 2})
+    return ms, alpha, draw(st.integers(0, alpha * ms.cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_certify_cases())
+def test_certify_matches_leaf_by_leaf_rank_route(case):
+    ms, alpha, t = case
+    want, leaves = _leaf_certify(ms, alpha, t)
+    cert = certify_net(ms, alpha, t, work_limit=max(leaves, 1))
+    assert (cert.verdict, cert.witness) == want
+    # The same leaves are charged: one fewer unit raises.
+    if leaves:
+        with pytest.raises(ResourceLimitError):
+            certify_net(ms, alpha, t, work_limit=leaves - 1)
+
+
+@st.composite
+def _dual_cases(draw):
+    ms, alpha = _random_set(draw, (2, 3, 5), {2: 4, 3: 2, 5: 1})
+    return ms, alpha, draw(st.integers(0, 7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_dual_cases())
+def test_min_dual_weight_matches_shell_enumeration(case):
+    ms, alpha, cap = case
+    assert min_dual_weight(ms, alpha, cap) == _shell_min(ms, alpha, cap)
+
+
+def _shell_min(ms, alpha, cap):
+    # Every vector of order-alpha weight <= cap has weight-1 metric <= cap.
+    weights = [dick_weight(ms.base, alpha, k) for k in dual_indices(ms, cap)]
+    return min((w for w in weights if w <= cap), default=None)
+
+
+@pytest.mark.parametrize("b, m, cap", [(3, 3, 7), (5, 2, 5)])
+def test_min_dual_weight_matches_shell_enumeration_three_dims(b, m, cap):
+    # Three coordinates run one transform join at b > 2, whose roots of
+    # unity are not +-1.
+    rng = random.Random(b)
+    for alpha in (1, 2):
+        for _ in range(4):
+            mats = [np.array([[rng.randrange(b) for _ in range(m)]
+                              for _ in range(alpha * m)]) for _ in range(3)]
+            ms = GeneratingMatrixSet(b, mats, Provenance("explicit"))
+            assert min_dual_weight(ms, alpha, cap) == _shell_min(ms, alpha, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.sampled_from((2, 3, 5)),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_syndrome_transform_convolution(b, m, seed):
+    # Inverse(forward(x) * forward(y)) is b**m times the group convolution
+    # of x and y over Z_b^m, exactly, for counts below the prime.
+    rng = np.random.default_rng(seed)
+    size = b**m
+    x, y = rng.integers(0, 3, size), rng.integers(0, 3, size)
+    digits = np.array([[(i // b**c) % b for c in range(m)] for i in range(size)])
+    index = {tuple(d): i for i, d in enumerate(digits)}
+    conv = np.zeros(size, dtype=np.int64)
+    for i in range(size):
+        for k in range(size):
+            conv[index[tuple((digits[i] + digits[k]) % b)]] += x[i] * y[k]
+    transform = _SyndromeTransform(b, size, 1)
+    p = transform.prime
+    assert p % b == 1 and p > size
+    product = transform(x, transform.forward, 2) * transform(y, transform.forward, 2) % p
+    got = transform(product, transform.inverse, p - 1)
+    assert np.array_equal(got, size * conv % p)
+
+
+@st.composite
+def _duality_cases(draw):
+    if draw(st.booleans()):
+        return _random_set(draw, (2, 3), {2: 4, 3: 2}, extra_rows=0)
+    b = draw(st.sampled_from((2, 3)))
+    alpha = draw(st.sampled_from((1, 2, 3)))
+    dims = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4 if b == 2 else 2))
+    return build_matrices(b, dims, m, order=alpha), alpha
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_duality_cases())
+def test_rho_alpha_is_alpha_m_plus_1_minus_exact_t(case):
+    # With alpha*m rows, a dependent admissible selection is a dual vector
+    # of weight at most alpha*m - t, and b**(alpha*m) is dual: the smallest
+    # certified t is alpha*m + 1 - rho_alpha.
+    ms, alpha = case
+    assert ms.rows == alpha * ms.cols
+    t_min = next(
+        t for t in range(alpha * ms.cols + 1)
+        if certify_net(ms, alpha, t).verdict == "certified"
+    )
+    rho = min_dual_weight(ms, alpha, ms.rows + 1)
+    assert rho == alpha * ms.cols + 1 - t_min
