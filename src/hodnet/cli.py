@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import NumericalConsistencyError, ResourceLimitError, UsageError
+from .gf import is_prime
 from .kernel import KernelSpec, sqrt_rounded, wce, wce_squared_sorted
 from .matrices import (
     GeneratingMatrixSet,
@@ -228,7 +229,7 @@ def _cmd_verify(args) -> int:
             )
         t = propagated_t(t_value_bound(args.base, args.order, args.dims),
                          args.order, alpha)
-    cert = certify_net(ms, alpha, t, m=args.m, work_limit=args.work_limit)
+    cert = certify_net(ms, alpha, t, work_limit=args.work_limit)
     report = cert.as_dict()
     rho_cap = args.rho_cap if args.rho_cap is not None else alpha * args.m + 2
     rho = min_dual_weight(ms, alpha, rho_cap, work_limit=args.work_limit)
@@ -249,6 +250,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    if args.alpha < 1:
+        raise UsageError("alpha must be positive")
     ms = _matrices_from_args(args)
     duals = dual_indices(ms, args.mu1_max, work_limit=args.work_limit)
     # A matrix file fixes b, s and d; the flags describe only a built net.
@@ -292,6 +295,8 @@ def _cmd_wce(args) -> int:
 
 def _cmd_walsh(args) -> int:
     base, alpha = args.base, args.alpha
+    if not is_prime(base):
+        raise UsageError(f"base must be prime, got {base}")
     mu1 = [dick_weight(base, 1, k) for k in range(args.kmax)]
     mu_alpha = [dick_weight(base, alpha, k) for k in range(args.kmax)]
     lines = [

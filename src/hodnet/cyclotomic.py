@@ -6,7 +6,11 @@ length-b representation to this canonical form.  For b = 2 the field
 degenerates to the plain rationals (w = -1).
 
 This representation makes "exactly zero" a decidable predicate, which the
-Walsh-coefficient sparsity checks rely on.
+Walsh-coefficient sparsity checks rely on.  The production route builds
+values from coordinates and reads ``is_zero`` and ``to_complex``; the
+constructors ``zero`` and ``root`` and the ring operations serve the
+per-pair Walsh oracles in :mod:`hodnet.walsh`, and ``__eq__`` their
+comparisons in the tests.
 """
 
 from __future__ import annotations
@@ -41,16 +45,6 @@ class Cyclotomic:
         return cls(base, (Fraction(0),) * (base - 1))
 
     @classmethod
-    def one(cls, base: int) -> "Cyclotomic":
-        return cls.rational(base, Fraction(1))
-
-    @classmethod
-    def rational(cls, base: int, value) -> "Cyclotomic":
-        cs = [Fraction(0)] * (base - 1)
-        cs[0] = Fraction(value)
-        return cls(base, cs)
-
-    @classmethod
     def root(cls, base: int, exponent: int) -> "Cyclotomic":
         """The root of unity w**exponent."""
         e = exponent % base
@@ -79,15 +73,6 @@ class Cyclotomic:
             self.base, tuple(a + c for a, c in zip(self.coeffs, other.coeffs))
         )
 
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._compat(other)
-        return Cyclotomic(
-            self.base, tuple(a - c for a, c in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.base, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Cyclotomic(self.base, tuple(a * other for a in self.coeffs))
@@ -105,57 +90,10 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of cyclotomic value by zero")
-            return Cyclotomic(self.base, tuple(a / other for a in self.coeffs))
-        self._compat(other)
-        return self * other.inverse()
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugate (w -> w**-1)."""
-        b = self.base
-        full = [Fraction(0)] * b
-        for i, a in enumerate(self.coeffs):
-            full[(-i) % b] += a
-        return Cyclotomic._from_length_b(b, full)
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via a rational linear solve."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero cyclotomic value has no inverse")
-        n = self.base - 1
-        # Columns of the matrix are self * w**j expressed in the power basis.
-        cols = [(self * Cyclotomic.root(self.base, j)).coeffs for j in range(n)]
-        aug = [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(n)]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = 1 / aug[col][col]
-            aug[col] = [v * inv_p for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return Cyclotomic(self.base, tuple(aug[j][n] for j in range(n)))
-
     # -- predicates and conversions ----------------------------------------
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
-
-    def is_real(self) -> bool:
-        return self == self.conjugate()
-
-    def is_rational(self) -> bool:
-        return all(a == 0 for a in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise UsageError("value is not rational")
-        return self.coeffs[0]
 
     def to_complex(self) -> complex:
         b = self.base
@@ -171,9 +109,3 @@ class Cyclotomic:
             and other.base == self.base
             and other.coeffs == self.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"Cyclotomic(b={self.base}, {list(self.coeffs)})"

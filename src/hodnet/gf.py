@@ -1,9 +1,9 @@
 """Exact arithmetic in prime fields F_b and for polynomials over F_b.
 
 Field elements are plain Python ints in ``[0, b)``; a :class:`PrimeField`
-instance carries the modulus and provides the operations.  Polynomials are
-immutable coefficient tuples, lowest degree first, with the zero polynomial
-represented by the empty tuple.
+instance validates the modulus and the elements and inverts them.
+Polynomials are immutable coefficient tuples, lowest degree first, with the
+zero polynomial represented by the empty tuple.
 
 The module also provides base-b digit expansion, the canonical enumeration
 of monic irreducible polynomials, and the reciprocal-series coefficients
@@ -35,10 +35,10 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic modulo a prime ``base``.
+    """A prime modulus ``base``, with element validation and inverses.
 
-    Elements are ints in ``[0, base)``; all methods validate their inputs and
-    raise :class:`UsageError` on out-of-range values.
+    Elements are ints in ``[0, base)``; both methods validate their inputs
+    and raise :class:`UsageError` on out-of-range values.
     """
 
     __slots__ = ("base",)
@@ -55,35 +55,11 @@ class PrimeField:
             raise UsageError(f"{a!r} is not an element of F_{self.base}")
         return a
 
-    def add(self, a: int, c: int) -> int:
-        return (self.check(a) + self.check(c)) % self.base
-
-    def sub(self, a: int, c: int) -> int:
-        return (self.check(a) - self.check(c)) % self.base
-
-    def neg(self, a: int) -> int:
-        return (-self.check(a)) % self.base
-
-    def mul(self, a: int, c: int) -> int:
-        return (self.check(a) * self.check(c)) % self.base
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; zero has none."""
         if self.check(a) == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.base}")
         return pow(a, self.base - 2, self.base)
-
-    def elements(self) -> range:
-        return range(self.base)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.base == self.base
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.base))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.base})"
 
 
 def digits_of(k: int, base: int, count: int | None = None) -> list[int]:
@@ -130,10 +106,6 @@ class Poly:
     def one(cls, base: int) -> "Poly":
         return cls(base, (1,))
 
-    @classmethod
-    def x(cls, base: int) -> "Poly":
-        return cls(base, (0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -143,22 +115,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = (a[i] + c) % self.base
-        return Poly(self.base, a)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] = (a[i] - c) % self.base
-        return Poly(self.base, a)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
@@ -213,24 +169,6 @@ class Poly:
             and other.base == self.base
             and other.coeffs == self.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.coeffs))
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return f"Poly(b={self.base}, 0)"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                prefix = "" if c == 1 else str(c)
-                terms.append(f"{prefix}x^{i}" if i > 1 else f"{prefix}x")
-        return f"Poly(b={self.base}, {'+'.join(terms)})"
 
 
 def _is_irreducible(p: Poly) -> bool:

@@ -12,8 +12,9 @@ equal-weight rule on points P is the kernel double sum over P divided by
 N**2, minus 1.
 
 ``kernel_1d`` is the one scalar definition of K_alpha: exact on Fractions
-and binary64 on floats.  Two production paths, chosen by dimension alone,
-and one oracle compute the double sum:
+and binary64 on floats; only the oracle and the tests evaluate it.  Two
+production paths, chosen by dimension alone, and one oracle compute the
+double sum:
 
 * s <= 2: ``wce_squared_sorted`` sums exactly over the integer numerators
   of the points in O(N log N) big-integer operations.  Since

@@ -4,6 +4,8 @@ Provides the generalized-Niederreiter order-1 construction seeded by monic
 irreducible polynomials, the row-interleaving map that turns order-1 matrix
 sets into higher-order ones, the corresponding quality-parameter bound, and
 a plain-text matrix file format for importing externally supplied matrices.
+The CLI only reads that format; ``save_matrix_set``, its writer, is kept so
+the tests and users can produce files.
 """
 
 from __future__ import annotations
@@ -164,21 +166,20 @@ def t_value_bound(base: int, order: int, dims: int) -> int:
     return order * t1 + dims * order * (order - 1) // 2
 
 
-def build_matrices(
-    base: int, dims: int, m: int, order: int = 1, rows: int | None = None
-) -> GeneratingMatrixSet:
+def build_matrices(base: int, dims: int, m: int, order: int = 1) -> GeneratingMatrixSet:
     """Matrix set for b**m points in ``dims`` dimensions at a given order.
 
-    Row count defaults to order*m so the generated digits cover exactly the
-    precision the order-``order`` net definition asks for.
+    The order*m rows cover exactly the precision the order-``order`` net
+    definition asks for.
     """
     if m < 1:
         raise UsageError("m must be positive")
-    n = order * m if rows is None else rows
+    if order < 1:
+        raise UsageError("order must be positive")
     if order == 1:
-        return niederreiter_set(base, dims, n, m)
-    source = niederreiter_set(base, order * dims, -(-n // order), m)
-    return interlace_matrix_set(source, order, dims, n, m)
+        return niederreiter_set(base, dims, m, m)
+    source = niederreiter_set(base, order * dims, m, m)
+    return interlace_matrix_set(source, order, dims, order * m, m)
 
 
 def save_matrix_set(ms: GeneratingMatrixSet, path_or_file) -> None:

@@ -5,8 +5,10 @@ the index digits under the generating matrices, so prefix and interleaving
 identities can be tested digit for digit.  ``net_digits`` is the one
 index-to-digit map (uint8 digits, b <= MAX_BASE) and ``_digits_to_int`` the
 one exact digits-to-integer route: ``net_values`` divides its integers by
-b**rows once, and ``net_points`` keeps them exact as Fractions.  Conversion
-to floats happens only at evaluation boundaries (kernel sums, CSV output).
+b**rows once, and ``net_points`` keeps them exact as Fractions for the
+exact wce oracle ``kernel.wce_squared_exact``, the only reader of that
+route.  Conversion to floats happens only at evaluation boundaries (kernel
+sums, CSV output).
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -45,6 +44,8 @@ def nonzero_digit_terms(k: int, base: int) -> tuple[tuple[int, int], ...]:
     """
     if k < 0:
         raise UsageError("digit expansion requires a nonnegative integer")
+    if base < 2:
+        raise UsageError(f"base must be at least 2, got {base}")
     terms = []
     pos = 1
     while k:
@@ -506,11 +507,10 @@ def certify_net(
     ms: GeneratingMatrixSet,
     alpha: int,
     t: int,
-    m: int | None = None,
-    dims: int | None = None,
     work_limit: int = DEFAULT_WORK_LIMIT,
 ) -> NetCertificate:
-    """Exhaustively certify the order-alpha (t, m, s)-net property.
+    """Exhaustively certify the order-alpha (t, m, s)-net property of the
+    matrix set as given: m = ms.cols and s = ms.dims.
 
     Checks linear independence over F_b of every admissible row selection
     (charged index sum at most alpha*m - t).  Refutation reports the first
@@ -529,12 +529,9 @@ def certify_net(
     """
     if alpha < 1:
         raise UsageError("alpha must be positive")
-    m = ms.cols if m is None else m
-    dims = ms.dims if dims is None else dims
-    if m < 1 or m > ms.cols:
-        raise UsageError(f"m must lie in [1, {ms.cols}]")
-    if dims < 1 or dims > ms.dims:
-        raise UsageError(f"dims must lie in [1, {ms.dims}]")
+    m, dims = ms.cols, ms.dims
+    if m < 1:
+        raise UsageError("m must be positive")
     if not 0 <= t:
         raise UsageError("t must be nonnegative")
     budget = alpha * m - t
@@ -549,7 +546,7 @@ def certify_net(
     per_dim = _envelope_selections(ms.rows, alpha, budget)
     work = _WorkCounter(work_limit)
     eliminator = _Basis(ms.base, m)
-    packed = [[eliminator.pack(row[:m]) for row in mat] for mat in ms.matrices[:dims]]
+    packed = [[eliminator.pack(row) for row in mat] for mat in ms.matrices]
 
     def rec(j: int, cost: int, basis, picked: tuple[tuple[int, ...], ...]):
         # memo maps a selection's row prefix to the basis it extends to.
@@ -588,44 +585,7 @@ def certify_net(
     return NetCertificate(ms.base, dims, m, alpha, t, "refuted", witness)
 
 
-def propagation_check(
-    ms: GeneratingMatrixSet,
-    alpha: int,
-    alpha_prime: int,
-    t: int,
-    m: int | None = None,
-    dims: int | None = None,
-    work_limit: int = DEFAULT_WORK_LIMIT,
-) -> NetCertificate:
-    """Re-certify at a lower order with the propagated quality parameter.
-
-    An order-alpha net with parameter t is an order-alpha' net with
-    t' = ceil(t * alpha' / alpha) for every alpha' < alpha.
-    """
-    if not 1 <= alpha_prime < alpha:
-        raise UsageError("alpha_prime must satisfy 1 <= alpha_prime < alpha")
-    return certify_net(ms, alpha_prime, propagated_t(t, alpha, alpha_prime),
-                       m=m, dims=dims, work_limit=work_limit)
-
-
 def propagated_t(t: int, alpha: int, alpha_prime: int) -> int:
     """ceil(t * alpha' / alpha): the quality parameter with which an order-alpha
     net of parameter t is an order-alpha' net, for 1 <= alpha' <= alpha."""
     return -(-t * alpha_prime // alpha)
-
-
-def interpolation_gap(base: int, alpha: int, k) -> Fraction:
-    """Slack in the metric interpolation bound, as an exact rational.
-
-    Returns mu_alpha(k) - (A * mu_{2*alpha+1}(k) + B * mu_1(k)) with
-    A = (alpha-1)/(2*alpha) and B = (alpha+1)/(2*alpha); nonnegative for all
-    k when alpha >= 2.
-    """
-    if alpha < 2:
-        raise UsageError("the interpolation bound requires alpha >= 2")
-    a = Fraction(alpha - 1, 2 * alpha)
-    b = Fraction(alpha + 1, 2 * alpha)
-    mu_a = dick_weight(base, alpha, k)
-    mu_hi = dick_weight(base, 2 * alpha + 1, k)
-    mu_1 = dick_weight(base, 1, k)
-    return Fraction(mu_a) - (a * mu_hi + b * mu_1)

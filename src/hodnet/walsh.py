@@ -4,12 +4,12 @@ A Walsh function is piecewise constant on base-b cells, so integrals of
 polynomials against Walsh functions reduce to exact rational sums over
 cells, with values in the cyclotomic field Q(w_b).  This module classifies
 index pairs by how many leading digit terms must be stripped before the
-tails agree, computes the kernel coefficients
+tails agree, and computes the kernel coefficients
 
     khat_alpha(k, l) = sum_{r<=alpha} bhat_r(k) * conj(bhat_r(l))
                        + (-1)**(alpha+1) * bhat_per_{2 alpha}(k, l)
 
-exactly, and verifies the combinatorial pair-count formulas by brute force.
+exactly.
 
 Production route: ``_cell_matrix`` holds the exact integrals I[tx, ty] of
 K_alpha over all b**g x b**g cell pairs, and ``_walsh_transform`` reads
@@ -17,13 +17,15 @@ every coefficient from it,
 
     khat(k, l) = sum_{tx, ty} w**(e_l(ty) - e_k(tx)) * I[tx, ty],
 
-in exact int64 limb arithmetic.  ``iter_kernel_coeffs`` (every pair of a
-scan) and ``kernel_walsh_coeff`` (one pair) both call it; a multivariate
-coefficient is the product of one-dimensional ones.  Oracle:
-``bernoulli_walsh_coeff`` and ``_periodic_coeff_reference`` integrate one
-pair at a time in Fractions; the reference reads the offset table
-``_periodic_offset_integrals`` of Bper_r(x - y) (any degree r >= 2, equal
-to B_r(|x - y|) for even r), which the cell matrix shares.
+in exact int64 limb arithmetic.  ``iter_kernel_coeffs`` reads every pair
+of a scan from one transform; a multivariate coefficient is the product of
+one-dimensional ones.
+
+Oracles, kept for the tests: ``bernoulli_walsh_coeff`` and
+``_periodic_coeff_reference`` integrate one pair at a time in Fractions,
+from the Walsh exponents of ``_char_exponents``; the reference reads the
+offset table ``_periodic_offset_integrals`` of Bper_r(x - y) (any degree
+r >= 2, equal to B_r(|x - y|) for even r), which the cell matrix shares.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .cyclotomic import Cyclotomic
 from .errors import ResourceLimitError, UsageError
 from .gf import digits_of
 from .points import _index_digits
-from .quality import DEFAULT_WORK_LIMIT, dick_weight, nonzero_digit_terms
+from .quality import DEFAULT_WORK_LIMIT, nonzero_digit_terms
 
 # Exact scans grow like b**(2 c1); these caps keep the cyclotomic arithmetic
 # tractable and match the scales the verification suite actually exercises.
@@ -53,19 +55,14 @@ MAX_SCAN_ALPHA = 3
 # ---------------------------------------------------------------------------
 
 
-def pair_type(base: int, k: int, l: int) -> tuple[int, int]:
-    """Type (p, q) of an index pair: strip depths until the digit tails agree.
+def _strip_depths(tk: tuple, tl: tuple) -> tuple[int, int]:
+    """Type (p, q) of an index pair from the nonzero digit terms of both.
 
     p leading terms of k and q of l are removed so that the remainders
     coincide and the last stripped terms differ; (k, k) has type (0, 0).
     The result is unique and satisfies v - p = w - q for v, w the nonzero
     digit counts.
     """
-    return _strip_depths(nonzero_digit_terms(k, base), nonzero_digit_terms(l, base))
-
-
-def _strip_depths(tk: tuple, tl: tuple) -> tuple[int, int]:
-    """Pair type from the nonzero digit terms of both indices."""
     shared = 0
     while (
         shared < len(tk)
@@ -334,34 +331,16 @@ def _periodic_coeff_reference(base: int, r: int, k: int, l: int) -> Cyclotomic:
 # ---------------------------------------------------------------------------
 
 
-def kernel_walsh_coeff(base: int, alpha: int, k: int, l: int) -> Cyclotomic:
-    """Exact Walsh coefficient of the one-dimensional smoothness-alpha kernel.
-
-    The 1x1 Walsh transform of the cell matrix at resolution max(c1(k),
-    c1(l)), where both Walsh functions are constant on every cell.
-    """
-    if alpha < 1:
-        raise UsageError("alpha must be positive")
-    g = max(len(digits_of(k, base)), len(digits_of(l, base)))
-    rows = _class_masks(base, _char_exponents(base, g, k)[None, :])
-    cols = _class_masks(base, _char_exponents(base, g, l)[None, :])
-    return _walsh_transform(base, alpha, g, rows, cols)(0, 0)
-
-
 def iter_kernel_coeffs(
-    base: int,
-    alpha: int,
-    max_index: int,
-    pair_filter: Callable[[int, int, int, int], bool] | None = None,
+    base: int, alpha: int, max_index: int
 ) -> Iterator[tuple[int, int, tuple[int, int], Cyclotomic]]:
     """Exact kernel coefficients for all ordered pairs k, l < max_index.
 
-    Yields (k, l, (p, q), value) in row-major (k, l) order, all values read
-    from one Walsh transform of the cell matrix at resolution
-    c1(max_index - 1).  ``pair_filter(k, l, p, q)`` may skip the value
-    assembly for pairs the caller does not need; classification still
-    happens for every pair.  Capped at max_index <= b**5 and alpha <= 3,
-    where exact arithmetic stays tractable.
+    Yields (k, l, (p, q), value) in row-major (k, l) order, with (p, q) the
+    pair type (:func:`_strip_depths`) and every value read from one Walsh
+    transform of the cell matrix at resolution c1(max_index - 1).  Capped
+    at max_index <= b**5 and alpha <= 3, where exact arithmetic stays
+    tractable.
     """
     if alpha < 1 or alpha > MAX_SCAN_ALPHA:
         raise UsageError(f"alpha must lie in [1, {MAX_SCAN_ALPHA}] for scans")
@@ -375,111 +354,4 @@ def iter_kernel_coeffs(
     terms = [nonzero_digit_terms(k, base) for k in range(max_index)]
     for k in range(max_index):
         for l in range(max_index):
-            p, q = _strip_depths(terms[k], terms[l])
-            if pair_filter is None or pair_filter(k, l, p, q):
-                yield (k, l, (p, q), khat(k, l))
-
-
-def sparsity_violations(
-    base: int, alpha: int, max_index: int
-) -> list[tuple[int, int]]:
-    """Pairs with type budget p + q > 2*alpha whose coefficient is not 0.
-
-    An empty list confirms the sparsity property exhaustively below
-    ``max_index``.
-    """
-    budget = 2 * alpha
-    out = []
-    for k, l, (p, q), value in iter_kernel_coeffs(
-        base, alpha, max_index, pair_filter=lambda k, l, p, q: p + q > budget
-    ):
-        if not value.is_zero():
-            out.append((k, l))
-    return out
-
-
-def decay_ratio_sup(base: int, alpha: int, max_index: int) -> float:
-    """Empirical sup of |khat(k, l)| * b**(mu_alpha(k) + mu_alpha(l)).
-
-    The bound constant is never published, so the sup is reported, not
-    asserted against a reference value.
-    """
-    sup = 0.0
-    for k, l, _, value in iter_kernel_coeffs(base, alpha, max_index):
-        mag = abs(value.to_complex())
-        if mag:
-            weight = dick_weight(base, alpha, k) + dick_weight(base, alpha, l)
-            sup = max(sup, mag * float(base) ** weight)
-    return sup
-
-
-# ---------------------------------------------------------------------------
-# Pair-count combinatorics
-# ---------------------------------------------------------------------------
-
-_SUPPORTED_TYPES = {(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)}
-
-
-def _weight_shell(base: int, z: int) -> range:
-    """Integers whose weight-1 metric is exactly z (the leading digit shell)."""
-    if z == 0:
-        return range(0, 1)
-    return range(base ** (z - 1), base**z)
-
-
-def _ceil_pow_weight(b: int, z: int) -> int:
-    # ceil(b**(z-1) * (b-1)); the ceiling only bites at z = 0 where it is 1.
-    return 1 if z == 0 else b ** (z - 1) * (b - 1)
-
-
-def _ceil_pow(b: int, z: int) -> int:
-    # ceil(b**(z-1)); again 1 at the z = 0 edge.
-    return 1 if z == 0 else b ** (z - 1)
-
-
-def count_type_pairs(
-    base: int, p: int, q: int, z1: int, z2: int, mode: str = "bruteforce"
-) -> int:
-    """Number of pairs (k, l) of type (p, q) with weight-1 metrics (z1, z2).
-
-    ``bruteforce`` enumerates the shells; ``formula`` evaluates the closed
-    forms for the supported types.  The ceiling in the closed forms only
-    matters at the z = 0 edge; (1, 1) additionally needs explicit zero
-    guards there because both indices must be nonzero (brute force is the
-    ground truth on any discrepancy).
-    """
-    if z1 < 0 or z2 < 0:
-        raise UsageError("shell weights must be nonnegative")
-    if mode == "bruteforce":
-        count = 0
-        for k in _weight_shell(base, z1):
-            for l in _weight_shell(base, z2):
-                if pair_type(base, k, l) == (p, q):
-                    count += 1
-        return count
-    if mode != "formula":
-        raise UsageError(f"unknown mode {mode!r}")
-    if (p, q) not in _SUPPORTED_TYPES:
-        raise UsageError(f"no closed form for type ({p}, {q})")
-    b = base
-    if (p, q) == (0, 0):
-        return _ceil_pow_weight(b, z1) if z1 == z2 else 0
-    if (p, q) == (1, 0):
-        if z1 <= z2:
-            return 0
-        return _ceil_pow_weight(b, z2) * (b - 1)
-    if (p, q) == (0, 1):
-        return count_type_pairs(base, 1, 0, z2, z1, "formula")
-    if (p, q) == (2, 0):
-        if z1 <= z2 + 1:
-            return 0
-        return _ceil_pow_weight(b, z2) * (b - 1) ** 2 * (z1 - z2 - 1)
-    if (p, q) == (0, 2):
-        return count_type_pairs(base, 2, 0, z2, z1, "formula")
-    # (1, 1): both indices carry a leading term, so both shells are nonzero.
-    if z1 == 0 or z2 == 0:
-        return 0
-    head = _ceil_pow(b, min(z1, z2))
-    if z1 == z2:
-        return head * (b - 1) * (b - 2)
-    return head * (b - 1) ** 2
+            yield (k, l, _strip_depths(terms[k], terms[l]), khat(k, l))

@@ -1,6 +1,9 @@
 """End-to-end runs of the command-line interface through ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -151,6 +154,50 @@ def test_gen_digits_above_base_36_exits_2(tmp_path):
     argv = ["gen", "--base", "37", "--m", "1", "--format", "digits"]
     assert main([*argv, "--out", str(tmp_path / "x")]) == 2
     assert main(["gen", "--base", "37", "--m", "1", "--out", str(tmp_path / "y")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walsh", "--base", "1", "--kmax", "2"),  # hung in the digit expansion
+        ("walsh", "--base", "0", "--kmax", "2"),
+        ("walsh", "--base", "4", "--kmax", "2"),
+        ("gen", "--order", "0", "--m", "3"),
+        ("verify", "--order", "0", "--m", "3"),
+        ("verify", "--order", "-1", "--m", "3"),
+        ("dual", "--order", "0", "--m", "3", "--mu1-max", "2"),
+        # Without --alpha validation the exit code depended on whether any
+        # dual vector had weight at most mu1-max.
+        ("dual", "--m", "3", "--mu1-max", "2", "--alpha", "0"),
+        ("dual", "--m", "3", "--mu1-max", "5", "--alpha", "0"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "hodnet.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+
+
+def test_walsh_checks_the_base_before_any_work(tmp_path, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("walsh did work for a base it rejects")
+
+    monkeypatch.setattr("hodnet.cli.dick_weight", no_work)
+    monkeypatch.setattr("hodnet.cli.iter_kernel_coeffs", no_work)
+    for base in ("-3", "0", "1", "4", "9"):
+        argv = ["walsh", "--base", base, "--kmax", "2", "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+
+
+def test_walsh_accepts_a_prime_base_above_the_field_maximum(tmp_path):
+    # The scan needs a prime base only; MAX_BASE bounds the constructions.
+    text = _run(tmp_path, "w.csv", "walsh", "--base", "67", "--kmax", "2")
+    assert len(_data_rows(text)) == 4
 
 
 @pytest.mark.parametrize(

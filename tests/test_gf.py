@@ -17,26 +17,17 @@ from hodnet.walsh import _char_exponents
 
 @pytest.mark.parametrize("b", [2, 3, 5])
 def test_field_ring_axioms_exhaustive(b):
+    # Sums and products are plain ints mod b; the field supplies validation
+    # and the one axiom Python does not: every nonzero element is a unit.
     f = PrimeField(b)
-    elems = list(f.elements())
-    for a in elems:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
+    for a in range(b):
+        assert f.check(a) == a
         if a:
-            assert f.mul(a, f.inv(a)) == 1
-        for c in elems:
-            assert f.add(a, c) == f.add(c, a)
-            assert f.mul(a, c) == f.mul(c, a)
-            assert f.sub(a, c) == f.add(a, f.neg(c))
-            for d in elems:
-                assert f.add(f.add(a, c), d) == f.add(a, f.add(c, d))
-                assert f.mul(f.mul(a, c), d) == f.mul(a, f.mul(c, d))
-                assert f.mul(a, f.add(c, d)) == f.add(f.mul(a, c), f.mul(a, d))
+            assert a * f.inv(a) % b == 1
+            assert f.inv(f.inv(a)) == a
 
 
 def test_field_examples():
-    assert PrimeField(2).add(1, 1) == 0
     assert PrimeField(5).inv(2) == 3
 
 
@@ -48,7 +39,7 @@ def test_field_errors():
     with pytest.raises(UsageError):
         PrimeField(67)  # prime but above the supported maximum
     with pytest.raises(UsageError):
-        PrimeField(3).add(3, 0)
+        PrimeField(3).check(3)
 
 
 def test_digitwise_examples():

@@ -24,10 +24,9 @@ from hodnet.quality import (
     certify_net,
     dick_weight,
     dual_indices,
-    interpolation_gap,
     min_dual_weight,
     nonzero_digit_terms,
-    propagation_check,
+    propagated_t,
 )
 
 
@@ -262,12 +261,21 @@ def test_propagation_examples():
     ms = build_matrices(2, 1, 3, order=3)
     t = t_value_bound(2, 3, 1)
     assert certify_net(ms, 3, t).verdict == "certified"
-    cert = propagation_check(ms, 3, 1, t)
+    # An order-3 net with parameter t is an order-alpha' net with
+    # ceil(t * alpha' / 3).
+    cert = certify_net(ms, 1, propagated_t(t, 3, 1))
     assert cert.verdict == "certified"
     assert cert.t == -(-t // 3)
-    assert propagation_check(ms, 3, 2, 0).t == 0
-    with pytest.raises(UsageError):
-        propagation_check(ms, 3, 3, t)
+    assert certify_net(ms, 2, propagated_t(0, 3, 2)).t == 0
+
+
+def interpolation_gap(base, alpha, k):
+    """Slack of the metric interpolation bound, exact: mu_alpha(k) minus
+    ((alpha-1) mu_{2 alpha+1}(k) + (alpha+1) mu_1(k)) / (2 alpha), which is
+    nonnegative for all k when alpha >= 2."""
+    mixed = (alpha - 1) * dick_weight(base, 2 * alpha + 1, k)
+    mixed += (alpha + 1) * dick_weight(base, 1, k)
+    return dick_weight(base, alpha, k) - Fraction(mixed, 2 * alpha)
 
 
 def test_interpolation_gap_examples():
@@ -277,8 +285,6 @@ def test_interpolation_gap_examples():
         for c in range(1, 6):
             k = b ** (c - 1)  # single nonzero digit
             assert interpolation_gap(b, alpha, k) == 0
-    with pytest.raises(UsageError):
-        interpolation_gap(2, 1, 5)
 
 
 def test_interpolation_gap_nonnegative_sampled():
@@ -290,6 +296,13 @@ def test_interpolation_gap_nonnegative_sampled():
         for _ in range(100):
             vec = tuple(rng.randrange(0, b**8) for _ in range(3))
             assert interpolation_gap(b, alpha, vec) >= 0
+
+
+def test_digit_terms_reject_bases_below_2():
+    # Base 1 never shrinks k, so the expansion would loop forever.
+    for base in (-2, 0, 1):
+        with pytest.raises(UsageError):
+            nonzero_digit_terms(5, base)
 
 
 def test_dual_index_expansion_roundtrip():
