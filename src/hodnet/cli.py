@@ -55,6 +55,12 @@ from .walsh import iter_kernel_coeffs
 _CONSTRUCTIONS = ("niederreiter", "interlaced-niederreiter")
 
 
+def _check_work_limit(limit: int | None) -> None:
+    # Zero is a limit (no work allowed); only a negative one is malformed.
+    if limit is not None and limit < 0:
+        raise UsageError(f"work limit must be nonnegative, got {limit}")
+
+
 @dataclass
 class ExperimentConfig:
     """Reproducible configuration of a convergence experiment."""
@@ -83,6 +89,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown construction {self.construction!r}")
         if self.threads < 1:
             raise UsageError("threads must be positive")
+        _check_work_limit(self.work_limit)
 
     @property
     def effective_order(self) -> int:
@@ -448,6 +455,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_work_limit(getattr(args, "work_limit", None))
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,18 @@
 """Generating matrices for digital nets and sequences over F_b.
 
-Provides the generalized-Niederreiter order-1 construction seeded by monic
-irreducible polynomials, the row-interleaving map that turns order-1 matrix
-sets into higher-order ones, the corresponding quality-parameter bound, and
-a plain-text matrix file format for importing externally supplied matrices.
-The CLI only reads that format; ``save_matrix_set``, its writer, is kept so
-the tests and users can produce files.
+The order-1 construction is the generalized Niederreiter sequence.  One
+search (:func:`hodnet.gf.monic_irreducibles`) yields the coefficient tuple
+of p_j, the j-th canonical monic irreducible, for every coordinate j; the
+rows of matrix j are shifted windows of the series of 1/p_j(x)**i in powers
+of 1/x, one series per power i.  Interlacing at order d interleaves the rows
+of d consecutive order-1 matrices, and :func:`t_value_bound` gives the
+quality-parameter bound of the result.
+
+A matrix set records its construction and interlacing factor.  The
+plain-text file format writes both in a ``# construction=... d=...``
+comment and no t value; :func:`load_matrix_set` reads back only d.  The CLI
+only reads that format; ``save_matrix_set``, its writer, is kept so the
+tests and users can produce files.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .gf import PrimeField, laurent_coeffs, monic_irreducibles
+from .gf import check_base, monic_irreducibles
 
 CONSTRUCTIONS = ("niederreiter", "interlaced-niederreiter", "explicit")
 
@@ -24,7 +31,6 @@ CONSTRUCTIONS = ("niederreiter", "interlaced-niederreiter", "explicit")
 class Provenance:
     construction: str
     interlace_factor: int = 1
-    t_claimed: int | None = None
 
     def __post_init__(self) -> None:
         if self.construction not in CONSTRUCTIONS:
@@ -46,7 +52,7 @@ class GeneratingMatrixSet:
     provenance: Provenance = Provenance("explicit")
 
     def __post_init__(self) -> None:
-        PrimeField(self.base)
+        check_base(self.base)
         if not self.matrices:
             raise UsageError("a matrix set needs at least one dimension")
         mats = []
@@ -78,35 +84,48 @@ class GeneratingMatrixSet:
         return self.matrices[0].shape[1]
 
 
-def niederreiter_matrix(base: int, dim_index: int, rows: int, cols: int) -> np.ndarray:
-    """Upper-left rows x cols block of the order-1 matrix for one coordinate.
+def _reciprocal_powers(
+    p: tuple[int, ...], base: int, count: int, length: int
+) -> list[np.ndarray]:
+    """Series of 1/p(x)**i in powers of 1/x, for i = 1..count.
 
-    Row k (1-based) holds the reciprocal-series coefficients of
-    x**(e-z-1) / p(x)**i for p the ``dim_index``-th canonical monic
-    irreducible over F_b, where i = (k-1)//e + 1 and z = (k-1) mod e.  Entries
-    vanish below the diagonal (entry(k, l) = 0 for k > l).
+    Entry n of series i is the coefficient of x**-(i*e + n), e = deg p, for
+    n < length: the power series of 1/q(u)**i with q(u) = u**e p(1/u) the
+    reversed polynomial, whose constant term is 1 because p is monic.
     """
-    if dim_index < 1:
-        raise UsageError("dimension index is 1-based and must be positive")
-    if rows < 1 or cols < 1:
-        raise UsageError("matrix dimensions must be positive")
-    p = monic_irreducibles(base, dim_index)[-1]
-    e = p.degree
-    out = np.zeros((rows, cols), dtype=np.int64)
-    for k in range(1, rows + 1):
-        power = (k - 1) // e + 1
-        shift = (k - 1) % e
-        out[k - 1, :] = laurent_coeffs(p, power, shift, cols)
-    return out
+    rev = p[::-1]
+    e = len(p) - 1
+    first = [1] + [0] * (length - 1)
+    for n in range(1, length):
+        first[n] = -sum(rev[j] * first[n - j] for j in range(1, min(n, e) + 1)) % base
+    series = [np.array(first, dtype=np.int64)]
+    for _ in range(count - 1):
+        series.append(np.convolve(series[-1], series[0])[:length] % base)
+    return series
 
 
 def niederreiter_set(base: int, dims: int, rows: int, cols: int) -> GeneratingMatrixSet:
-    """Order-1 generalized-Niederreiter matrix set for ``dims`` coordinates."""
+    """Order-1 generalized-Niederreiter matrix set for ``dims`` coordinates.
+
+    Matrix j is seeded by p, the j-th canonical monic irreducible over F_b,
+    of degree e.  Row k (0-based) holds the coefficients of x**-1, x**-2, ...
+    of x**(e-z-1) / p(x)**i, with i = k//e + 1 and z = k mod e: the series
+    of 1/p(x)**i shifted right by (i-1)*e + z = k columns.  Entries vanish
+    below the diagonal (entry(k, l) = 0 for k > l).
+    """
     if dims < 1:
         raise UsageError("dims must be positive")
-    mats = [niederreiter_matrix(base, j, rows, cols) for j in range(1, dims + 1)]
-    t = t_value_bound(base, 1, dims)
-    return GeneratingMatrixSet(base, mats, Provenance("niederreiter", 1, t))
+    if rows < 1 or cols < 1:
+        raise UsageError("matrix dimensions must be positive")
+    mats = []
+    for p in monic_irreducibles(base, dims):
+        e = len(p) - 1
+        series = _reciprocal_powers(p, base, -(-rows // e), cols)
+        out = np.zeros((rows, cols), dtype=np.int64)
+        for k in range(min(rows, cols)):
+            out[k, k:] = series[k // e][: cols - k]
+        mats.append(out)
+    return GeneratingMatrixSet(base, mats, Provenance("niederreiter"))
 
 
 def interlace_matrix_set(
@@ -132,25 +151,19 @@ def interlace_matrix_set(
         raise UsageError(
             f"need a {need_rows}x{cols} source block, have {source.rows}x{source.cols}"
         )
+    # Stacking the factor source blocks along a middle axis puts row h of
+    # source i at (h, i); the reshape reads them in the order factor*h + i.
     mats = []
-    for j in range(1, dims + 1):
-        out = np.zeros((rows, cols), dtype=np.int64)
-        for r in range(1, rows + 1):
-            h = (r - 1) // factor + 1
-            i = (r - 1) % factor + 1
-            out[r - 1, :] = source.matrices[factor * (j - 1) + i - 1][h - 1, :cols]
-        mats.append(out)
+    for j in range(dims):
+        block = source.matrices[factor * j : factor * (j + 1)]
+        stacked = np.stack([m[:need_rows, :cols] for m in block], axis=1)
+        mats.append(stacked.reshape(-1, cols)[:rows])
     construction = (
         "interlaced-niederreiter"
         if source.provenance.construction == "niederreiter"
         else "explicit"
     )
-    t = None
-    if source.provenance.construction == "niederreiter":
-        t = t_value_bound(source.base, factor, dims)
-    return GeneratingMatrixSet(
-        source.base, mats, Provenance(construction, factor, t)
-    )
+    return GeneratingMatrixSet(source.base, mats, Provenance(construction, factor))
 
 
 def t_value_bound(base: int, order: int, dims: int) -> int:
@@ -162,7 +175,7 @@ def t_value_bound(base: int, order: int, dims: int) -> int:
     if order < 1 or dims < 1:
         raise UsageError("order and dims must be positive")
     polys = monic_irreducibles(base, order * dims)
-    t1 = sum(p.degree - 1 for p in polys)
+    t1 = sum(len(p) - 2 for p in polys)
     return order * t1 + dims * order * (order - 1) // 2
 
 
@@ -185,17 +198,15 @@ def build_matrices(base: int, dims: int, m: int, order: int = 1) -> GeneratingMa
 def save_matrix_set(ms: GeneratingMatrixSet, path_or_file) -> None:
     """Write a matrix set in the plain-text exchange format.
 
-    Line 1 is ``b s n m``; then s blocks of n lines, each line m
-    space-separated digits.  Lines starting with ``#`` are comments.
+    A ``# construction=... d=...`` comment comes first, then the header
+    ``b s n m``, then s blocks of n lines, each line m space-separated
+    digits.  Lines starting with ``#`` are comments.
     """
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file, "w") if own else path_or_file
     try:
         prov = ms.provenance
-        fh.write(f"# construction={prov.construction} d={prov.interlace_factor}")
-        if prov.t_claimed is not None:
-            fh.write(f" t={prov.t_claimed}")
-        fh.write("\n")
+        fh.write(f"# construction={prov.construction} d={prov.interlace_factor}\n")
         fh.write(f"{ms.base} {ms.dims} {ms.rows} {ms.cols}\n")
         for mat in ms.matrices:
             for row in mat:
@@ -209,7 +220,7 @@ def load_matrix_set(path_or_file) -> GeneratingMatrixSet:
     """Read a matrix set written by :func:`save_matrix_set`.
 
     The interlace factor comes back from the ``# construction=... d=...``
-    line; the construction and its t claim do not, so the set is explicit.
+    line; the construction does not, so the set is explicit.
     """
     own = isinstance(path_or_file, (str, bytes))
     fh = open(path_or_file) if own else path_or_file

@@ -173,6 +173,14 @@ def _periodic_offset_integrals(base: int, r: int, g: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def _check_cell_pairs(base: int, g: int) -> None:
+    if base ** (2 * g) > DEFAULT_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"the cell matrix at resolution {g} has {base ** (2 * g)} cell pairs, "
+            f"limit is {DEFAULT_WORK_LIMIT}"
+        )
+
+
 @lru_cache(maxsize=16)
 def _cell_matrix(base: int, alpha: int, g: int) -> tuple[int, np.ndarray]:
     """Exact integrals of K_alpha over every pair of cells at resolution g.
@@ -187,12 +195,8 @@ def _cell_matrix(base: int, alpha: int, g: int) -> tuple[int, np.ndarray]:
     periodic part.  Capped at DEFAULT_WORK_LIMIT cell pairs, so no caller
     can ask for a matrix that does not fit in memory.
     """
+    _check_cell_pairs(base, g)
     n = base**g
-    if n * n > DEFAULT_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"the cell matrix at resolution {g} has {n * n} cell pairs, "
-            f"limit is {DEFAULT_WORK_LIMIT}"
-        )
     rank_one = [_bernoulli_cell_integrals(base, r, g) for r in range(alpha + 1)]
     r = 2 * alpha
     off = _periodic_offset_integrals(base, r, g)
@@ -349,6 +353,9 @@ def iter_kernel_coeffs(
             f"max_index must lie in [1, b**{MAX_SCAN_DIGITS}] for exact scans"
         )
     g = len(digits_of(max_index - 1, base))
+    # The exponent matrix and the class masks below are as large as the cell
+    # matrix is wide, so the cap is checked before either is built.
+    _check_cell_pairs(base, g)
     masks = _class_masks(base, _exponent_matrix(base, g)[:max_index])
     khat = _walsh_transform(base, alpha, g, masks, masks)
     terms = [nonzero_digit_terms(k, base) for k in range(max_index)]

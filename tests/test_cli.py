@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hodnet.cli import main
 from hodnet.gf import digits_of
 from hodnet.matrices import build_matrices, save_matrix_set
-from hodnet.quality import dick_weight
+from hodnet.quality import dick_weight, min_dual_weight
 
 
 def _run(tmp_path, name, *argv):
@@ -170,6 +171,9 @@ def test_gen_digits_above_base_36_exits_2(tmp_path):
         # dual vector had weight at most mu1-max.
         ("dual", "--m", "3", "--mu1-max", "2", "--alpha", "0"),
         ("dual", "--m", "3", "--mu1-max", "5", "--alpha", "0"),
+        # A negative work limit exited 3 as if the work had exceeded it.
+        ("verify", "--m", "3", "--work-limit", "-5"),
+        ("converge", "--m-range", "1:2", "--work-limit", "-5"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(argv):
@@ -192,6 +196,29 @@ def test_walsh_checks_the_base_before_any_work(tmp_path, monkeypatch):
     for base in ("-3", "0", "1", "4", "9"):
         argv = ["walsh", "--base", base, "--kmax", "2", "--out", str(tmp_path / "x")]
         assert main(argv) == 2
+
+
+def test_walsh_refuses_an_oversized_cell_matrix_before_building_it(
+    tmp_path, monkeypatch
+):
+    # b = 67, kmax = 68 needs resolution g = 2, so 67**4 > 10**7 cell pairs;
+    # the class masks built before the cap check took 0.7 s and 361 MiB.
+    def no_work(*args):
+        raise AssertionError("walsh built the exponent matrix past its cap")
+
+    monkeypatch.setattr("hodnet.walsh._exponent_matrix", no_work)
+    argv = ["walsh", "--base", "67", "--kmax", "68", "--out", str(tmp_path / "x")]
+    assert main(argv) == 3
+    src = Path(__file__).resolve().parent.parent / "src"
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-m", "hodnet.cli", "walsh", "--base", "67", "--kmax", "68"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (run.returncode, run.stdout) == (3, "")
+    assert "20151121 cell pairs" in run.stderr
 
 
 def test_walsh_accepts_a_prime_base_above_the_field_maximum(tmp_path):
@@ -272,6 +299,16 @@ def test_converge_config_rejects_wrong_types(tmp_path, config):
     path.write_text(json.dumps(config))
     argv = ["converge", "--config", str(path), "--out", str(tmp_path / "x")]
     assert main(argv) == 2
+
+
+def test_converge_config_rejects_a_negative_work_limit(tmp_path):
+    path = tmp_path / "cfg.json"
+    out = str(tmp_path / "x")
+    path.write_text(json.dumps({"m_max": 2, "work_limit": -5}))
+    assert main(["converge", "--config", str(path), "--out", out]) == 2
+    # Zero still means that no work is allowed.
+    path.write_text(json.dumps({"m_max": 2, "work_limit": 0}))
+    assert main(["converge", "--config", str(path), "--out", out]) == 3
 
 
 def test_converge_config_accepts_null_defaults(tmp_path):
@@ -379,3 +416,20 @@ def test_verify_rho_alpha_is_null_above_the_cap(tmp_path):
 def test_verify_known_answers(tmp_path, argv, expected):
     report = _verify_report(tmp_path, "--base", "2", *argv)
     assert {key: report[key] for key in expected} == expected
+
+
+def test_base5_known_answer(tmp_path):
+    # (b, alpha, s, d) = (5, 2, 1, 5): every seed irreducible is linear, the
+    # order-2 net of each m = 2..5 has exact t_m = alpha*m + 1 - rho = 0, and
+    # converge prints these exact rows.
+    for m in range(2, 6):
+        ms = build_matrices(5, 1, m, order=5)
+        assert 2 * m + 1 - min_dual_weight(ms, 2, 2 * m + 2) == 0
+    text = _run(tmp_path, "c.csv", "converge", "--base", "5", "--alpha", "2",
+                "--order", "5", "--dims", "1", "--m-range", "2:5")
+    assert _data_rows(text) == [
+        "2,25,0.0004143058104139493,-4.839519514328997,0.2589411315087183",
+        "3,125,1.5790230845804352e-05,-6.869553043730316,0.246722356965693",
+        "4,625,8.159864055736426e-07,-8.710412519582867,0.31874468967720415",
+        "5,3125,3.262815641187726e-08,-10.710627663577187,0.31863433995973883",
+    ]

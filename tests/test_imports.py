@@ -31,7 +31,8 @@ def _used_names(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # Quoted annotations such as "Poly" name their types in a string.
+            # Quoted annotations such as "ExperimentConfig" name their types
+            # in a string.
             try:
                 expr = ast.parse(node.value, mode="eval")
             except SyntaxError:

@@ -13,7 +13,6 @@ from hodnet.matrices import (
     build_matrices,
     interlace_matrix_set,
     load_matrix_set,
-    niederreiter_matrix,
     niederreiter_set,
     save_matrix_set,
     t_value_bound,
@@ -21,18 +20,28 @@ from hodnet.matrices import (
 
 
 def test_first_matrix_is_identity():
-    assert np.array_equal(niederreiter_matrix(2, 1, 4, 4), np.eye(4, dtype=int))
+    (ident,) = niederreiter_set(2, 1, 4, 4).matrices
+    assert np.array_equal(ident, np.eye(4, dtype=int))
 
 
 def test_second_matrix_base2():
     want = [[1, 1, 1], [0, 1, 0], [0, 0, 1]]
-    assert np.array_equal(niederreiter_matrix(2, 2, 3, 3), np.array(want))
+    assert np.array_equal(niederreiter_set(2, 2, 3, 3).matrices[1], np.array(want))
 
 
 def test_truncated_rows():
-    full = niederreiter_matrix(2, 1, 4, 4)
-    cut = niederreiter_matrix(2, 1, 2, 4)
-    assert np.array_equal(cut, full[:2])
+    full = niederreiter_set(2, 3, 4, 4).matrices
+    cut = niederreiter_set(2, 3, 2, 4).matrices
+    for a, c in zip(full, cut):
+        assert np.array_equal(c, a[:2])
+
+
+def test_niederreiter_set_errors():
+    for dims, rows, cols in ((0, 2, 2), (1, 0, 2), (1, 2, 0)):
+        with pytest.raises(UsageError):
+            niederreiter_set(2, dims, rows, cols)
+    with pytest.raises(UsageError):
+        niederreiter_set(4, 1, 2, 2)
 
 
 @pytest.mark.parametrize("b,s", [(2, 4), (3, 3)])
@@ -117,7 +126,7 @@ def test_build_matrices_defaults():
     ms = build_matrices(2, 2, 4, order=3)
     assert ms.rows == 12 and ms.cols == 4 and ms.dims == 2
     assert ms.provenance.interlace_factor == 3
-    assert ms.provenance.t_claimed == t_value_bound(2, 3, 2)
+    assert ms.provenance.construction == "interlaced-niederreiter"
 
 
 def _matrix_set_digest(ms):
@@ -219,7 +228,9 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", PINNED_DIGESTS, ids=lambda c: "b{}_s{}_m{}_d{}".format(*c))
+@pytest.mark.parametrize(
+    "case", PINNED_DIGESTS, ids=lambda c: "b{}_s{}_m{}_d{}".format(*c)
+)
 def test_build_matrices_pinned_digests(case):
     b, s, m, d = case
     assert _matrix_set_digest(build_matrices(b, s, m, order=d)) == PINNED_DIGESTS[case]
@@ -234,6 +245,7 @@ def test_file_roundtrip():
     ms = build_matrices(3, 2, 3, order=2)
     buf = io.StringIO()
     save_matrix_set(ms, buf)
+    assert buf.getvalue().startswith("# construction=interlaced-niederreiter d=2\n")
     loaded = load_matrix_set(io.StringIO(buf.getvalue()))
     assert loaded.base == ms.base
     assert loaded.dims == ms.dims and loaded.rows == ms.rows
